@@ -23,7 +23,7 @@ Results land in ``BENCH_<rev>.json`` at the repository root::
           "walls": [...],            # every timed repeat
           "digest": "…",             # == golden, or the run failed
           "baseline": {"wall_s": …, "events": …, "events_per_s": …},
-          "speedup": 1.70            # events_per_s vs baseline
+          "speedup": 1.70            # baseline wall_s / wall_s
         }, ...
       }
     }
@@ -171,7 +171,9 @@ def run_scenario(scenario: BenchScenario, repeats: Optional[int] = None,
         rss_mb=_rss_mb(),
         walls=walls,
         digest=digest,
-        speedup=events_per_s / scenario.baseline.events_per_s,
+        # Wall time, not events/s: a change that removes events must
+        # read as the speedup it is.
+        speedup=scenario.baseline.wall_s / wall_s if wall_s > 0 else 0.0,
     )
 
 
@@ -349,9 +351,10 @@ def build_bench_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="RATIO",
-        help=f"fail unless the {GATE_SCENARIO} scenario's events/s is at "
-        "least RATIO x its recorded baseline (machine-dependent; only "
-        "meaningful where the baseline was measured)",
+        help=f"fail unless the {GATE_SCENARIO} scenario's speedup (its "
+        "recorded baseline wall time over the measured one) is at least "
+        "RATIO (machine-dependent; only meaningful where the baseline "
+        "was measured)",
     )
     parser.add_argument(
         "--profile",

@@ -43,7 +43,7 @@ MB = 1024 * 1024
 #: Revision the pre-PR baselines were measured on.
 BASELINE_REV = "acc8be8"
 
-#: The scenario whose events/s ratio is the perf gate.
+#: The scenario whose wall-time speedup is the perf gate.
 GATE_SCENARIO = "sort"
 
 

@@ -18,7 +18,8 @@ fault injection — works unchanged.  What changes is the service path:
 
 * requests dispatch NCQ-style (up to ``ncq_depth`` outstanding),
 * page reads/programs queue FIFO on the owning NAND channel
-  (channel = physical block id mod ``channels``),
+  (channel = physical block id mod ``channels``), kept as a busy-until
+  time: booking is arithmetic; only a waited-on read schedules a wake-up,
 * writes complete at cache latency and are flushed after a coalescing
   delay by a background writeback process,
 * allocation failure triggers greedy GC: the sealed block with the
@@ -36,10 +37,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..iosched.base import IOScheduler
-from ..sim.events import AllOf, Event, Timeout
+from ..sim.events import Event, Timeout
 from .device import ElevatorQueue
 from .request import SECTOR_SIZE, BlockRequest, IoOp
 from .stats import DeviceStats
@@ -129,6 +130,8 @@ class SsdDevice(ElevatorQueue):
         self._blocks: Dict[int, Dict[int, int]] = {}
         #: block id -> count of invalidated (overwritten/moved) slots
         self._invalid: Dict[int, int] = {}
+        #: blocks with >= gc_min_invalid invalid slots (0: GC skips its scan)
+        self._gc_candidates = 0
         self._free: Deque[int] = deque()
         self._next_block = 0
         self._open: Optional[int] = None
@@ -152,14 +155,8 @@ class SsdDevice(ElevatorQueue):
         super().__init__(env, scheduler, name, trace, switch_control_latency,
                          quiesce_holds_arrivals)
 
-        self._chan_q: List[Deque[Tuple[float, Optional[Event]]]] = [
-            deque() for _ in range(self.params.channels)
-        ]
-        self._chan_wake: List[Event] = [
-            env.event() for _ in range(self.params.channels)
-        ]
-        for c in range(self.params.channels):
-            env.process(self._channel_server(c))
+        #: per NAND channel: time its last booked operation finishes
+        self._chan_busy: List[float] = [0.0] * self.params.channels
         self._flush_wake: Event = env.event()
         env.process(self._flusher())
 
@@ -216,23 +213,30 @@ class SsdDevice(ElevatorQueue):
     def _serve_write(self, request: BlockRequest):
         """Absorb into the write cache (backpressure when full)."""
         env = self.env
+        dirty, capacity = self._dirty, self.params.write_cache_pages
+        kick = False  # kick the flusher once per run, before yielding
         for lpn in self._page_span(request):
-            while (lpn not in self._dirty
-                   and len(self._dirty) >= self.params.write_cache_pages):
+            while lpn not in dirty and len(dirty) >= capacity:
+                if kick:
+                    self._kick_flusher()
+                    kick = False
                 waiter = Event(env)
                 self._cache_waiters.append(waiter)
                 yield waiter
-            if lpn in self._dirty:
+            if lpn in dirty:
                 # Re-written before flush: coalesced, no extra NAND work.
                 self.cache_coalesced += 1
             else:
-                self._dirty[lpn] = None
-                self._kick_flusher()
+                dirty[lpn] = None
+                kick = True
+        if kick:
+            self._kick_flusher()
         yield Timeout(env, self.params.cache_write_latency * self.service_scale)
 
     def _serve_read(self, request: BlockRequest):
         env = self.env
-        nand_events: List[Event] = []
+        params = self.params
+        done: Optional[float] = None  # when the last NAND page read ends
         hit_cache = False
         for lpn in self._page_span(request):
             if lpn in self._dirty:
@@ -241,47 +245,28 @@ class SsdDevice(ElevatorQueue):
                 continue
             mapped = self._l2p.get(lpn)
             channel = (mapped[0] if mapped is not None else lpn) \
-                % self.params.channels
-            done = Event(env)
-            self._charge(channel, self.params.read_latency, done)
+                % params.channels
+            end = self._charge(channel, params.read_latency)
             self.nand_reads += 1
-            nand_events.append(done)
+            if done is None or end > done:
+                done = end
         if hit_cache:
-            yield Timeout(env,
-                          self.params.cache_read_latency * self.service_scale)
-        if nand_events:
-            yield AllOf(env, nand_events)
+            yield Timeout(env, params.cache_read_latency * self.service_scale)
+        if done is not None:
+            yield env.timeout_at(done if done > env._now else env._now)
 
     # -- NAND channels -----------------------------------------------------------
-    def _charge(self, channel: int, latency: float,
-                done: Optional[Event] = None) -> None:
-        """Queue one NAND operation on ``channel`` (FIFO service)."""
-        q = self._chan_q[channel]
-        q.append((latency, done))
+    def _charge(self, channel: int, latency: float) -> float:
+        """Book one NAND op on ``channel`` (FIFO, at the ``service_scale``
+        in force now); return when it ends."""
+        now = self.env._now
+        busy = self._chan_busy[channel]
+        end = (busy if busy > now else now) + latency * self.service_scale
+        self._chan_busy[channel] = end
         if self.trace is not None:
-            self.trace.publish(
-                self.env._now,
-                "ssd.channel",
-                device=self.name,
-                channel=channel,
-                depth=len(q),
-            )
-        wake = self._chan_wake[channel]
-        if not wake.triggered:
-            wake.succeed()
-
-    def _channel_server(self, channel: int):
-        env = self.env
-        q = self._chan_q[channel]
-        while True:
-            if not q:
-                self._chan_wake[channel] = Event(env)
-                yield self._chan_wake[channel]
-                continue
-            latency, done = q.popleft()
-            yield Timeout(env, latency * self.service_scale)
-            if done is not None:
-                done.succeed()
+            self.trace.publish(now, "ssd.channel", device=self.name,
+                               channel=channel, backlog=end - now)
+        return end
 
     # -- write cache flushing ----------------------------------------------------
     def _kick_flusher(self) -> None:
@@ -304,9 +289,7 @@ class SsdDevice(ElevatorQueue):
     def _flush_dirty(self) -> None:
         drained = list(self._dirty)
         self._dirty.clear()
-        for lpn in drained:
-            self.host_pages += 1
-            self._program(lpn)
+        self._program(drained)
         self.flushed_pages += len(drained)
         if drained and self.trace is not None:
             self.trace.publish(
@@ -320,26 +303,37 @@ class SsdDevice(ElevatorQueue):
             waiter.succeed()
 
     # -- FTL: mapping, allocation, GC --------------------------------------------
-    def _program(self, lpn: int, during_gc: bool = False) -> None:
-        """Write ``lpn`` out-of-place; invalidate any previous copy."""
-        old = self._l2p.get(lpn)
-        if old is not None:
-            old_block, old_slot = old
-            valid = self._blocks.get(old_block)
-            if valid is not None and valid.get(old_slot) == lpn:
-                del valid[old_slot]
-                self._invalid[old_block] += 1
-        if self._open is None or self._open_next >= self.params.pages_per_block:
-            self._open = self._alloc_block(during_gc)
-            self._open_next = 0
-            self._blocks[self._open] = {}
-            self._invalid[self._open] = 0
-        block, slot = self._open, self._open_next
-        self._open_next += 1
-        self._blocks[block][slot] = lpn
-        self._l2p[lpn] = (block, slot)
-        self.nand_programs += 1
-        self._charge(block % self.params.channels, self.params.program_latency)
+    def _program(self, lpns: Sequence[int], during_gc: bool = False) -> None:
+        """Write ``lpns`` out-of-place, in order; invalidate old copies.
+
+        Nothing waits on a program, so it only books channel time.  GC
+        (via ``_alloc_block``) re-enters here, so ``_open`` is re-read.
+        """
+        l2p, blocks, invalid = self._l2p, self._blocks, self._invalid
+        params, charge = self.params, self._charge
+        for lpn in lpns:
+            if not during_gc:
+                self.host_pages += 1
+            old = l2p.get(lpn)
+            if old is not None:
+                old_block, old_slot = old
+                valid = blocks.get(old_block)
+                if valid is not None and valid.get(old_slot) == lpn:
+                    del valid[old_slot]
+                    invalid[old_block] += 1
+                    if invalid[old_block] == params.gc_min_invalid:
+                        self._gc_candidates += 1
+            if self._open is None or self._open_next >= params.pages_per_block:
+                self._open = self._alloc_block(during_gc)
+                self._open_next = 0
+                blocks[self._open] = {}
+                invalid[self._open] = 0
+            block, slot = self._open, self._open_next
+            self._open_next += 1
+            blocks[block][slot] = lpn
+            l2p[lpn] = (block, slot)
+            self.nand_programs += 1
+            charge(block % params.channels, params.program_latency)
 
     def _alloc_block(self, during_gc: bool) -> int:
         if not self._free and not during_gc:
@@ -352,6 +346,8 @@ class SsdDevice(ElevatorQueue):
 
     def _gc_if_worthwhile(self) -> None:
         """Greedy GC: erase the sealed block with the most invalid pages."""
+        if not self._gc_candidates:
+            return  # no block is worth collecting: skip the scan
         victim = None
         best = self.params.gc_min_invalid - 1
         for block, invalid in self._invalid.items():
@@ -365,15 +361,18 @@ class SsdDevice(ElevatorQueue):
         moved = list(self._blocks[victim].items())
         self.gc_cycles += 1
         victim_channel = victim % self.params.channels
+        # Per page read then program: both may land on one channel, and
+        # float sums there depend on booking order.
         for _slot, lpn in moved:
             self._charge(victim_channel, self.params.read_latency)
             self.nand_reads += 1
-            self._program(lpn, during_gc=True)
+            self._program((lpn,), during_gc=True)
             self.gc_moved += 1
         self._charge(victim_channel, self.params.erase_latency)
         self.nand_erases += 1
         del self._blocks[victim]
         del self._invalid[victim]
+        self._gc_candidates -= 1
         self._free.append(victim)
         if self.trace is not None:
             self.trace.publish(

@@ -286,8 +286,8 @@ class TraceMetrics:
             device = p["device"]
             reg.counter("ssd.flushed_pages", device=device).inc(p.get("pages", 0))
         elif topic == "ssd.channel":
-            reg.gauge("ssd.channel_depth", device=p["device"],
-                      channel=p["channel"]).set(p["depth"])
+            reg.gauge("ssd.channel_backlog_s", device=p["device"],
+                      channel=p["channel"]).set(p["backlog"])
         elif topic in ("fs.read", "fs.write"):
             op = "read" if topic == "fs.read" else "write"
             reg.counter("fs.ops", vm=p["vm"], op=op).inc()

@@ -60,7 +60,8 @@ TOPICS: Tuple[TopicSpec, ...] = (
     TopicSpec("ssd.gc", "greedy GC cycle: victim erased after relocating valid "
               "pages (moved/freed/write_amp in payload)"),
     TopicSpec("ssd.writeback", "write-cache flush to NAND (pages in payload)"),
-    TopicSpec("ssd.channel", "NAND channel queue occupancy after a charge"),
+    TopicSpec("ssd.channel", "NAND channel backlog after a charge (seconds of "
+              "booked work left on the channel)"),
     # -- guest filesystem (per-VM) --------------------------------------------
     TopicSpec("fs.read", "guest filesystem read completed", span="task"),
     TopicSpec("fs.write", "guest filesystem write completed", span="task"),

@@ -5,7 +5,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
-from .events import KEY_SHIFT, NORMAL, Event, Timeout
+from .events import KEY_SHIFT, NORMAL, NORMAL_KEY, Event, Timeout
 from .process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,6 +89,21 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` seconds from now."""
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Create an event that triggers at the absolute time ``when``.
+
+        ``timeout(when - now)`` fires at ``now + (when - now)``, which
+        floating point does not always round back to ``when``; this
+        fires at exactly ``when``.
+        """
+        if when < self._now:
+            raise ValueError(f"when={when} is in the past (now={self._now})")
+        event = Event(self)
+        event._value = value
+        self._eid = eid = self._eid + 1
+        heappush(self._queue, (when, NORMAL_KEY | eid, event))
+        return event
 
     def process(self, generator: Generator) -> Process:
         """Start a new :class:`Process` running ``generator``."""

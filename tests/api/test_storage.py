@@ -21,6 +21,7 @@ from repro.api import (
     assemble_cluster,
     scaled_cluster,
 )
+from repro.faults.plan import DiskFaults, FaultPlan
 from repro.faults.presets import get_preset
 from repro.runner import SweepRunner
 
@@ -123,6 +124,51 @@ def test_hybrid_reports_ssd_stats_for_odd_hosts_only():
     with SweepRunner(jobs=1, use_cache=False) as runner:
         [payload] = runner.run_specs([spec])
     assert sorted(payload["storage"]) == ["h1.sda"]
+
+
+#: The presets' slow-disk episodes are minutes apart, longer than the
+#: TINY job, so a denser plan makes sure flash is rescaled mid-run.
+SLOW_FLASH = FaultPlan(disk=DiskFaults(
+    slow_interval_s=0.5, slow_factor=4.0, slow_duration_s=0.3,
+    spike_latency_s=0.002,
+))
+
+
+@pytest.mark.parametrize("storage", ["ssd", "hybrid"])
+@pytest.mark.parametrize("plan", ["light", "heavy", "slow-flash"])
+def test_faults_compose_with_flash(storage, plan, monkeypatch):
+    """Faults on flash: the FTL still conserves pages, programs still
+    balance, and runs stay pure (serial == parallel)."""
+    from repro.disk import SsdDevice
+    from repro.runner.kinds import execute_spec
+
+    built = []
+    init = SsdDevice.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SsdDevice, "__init__", recording_init)
+    faults = SLOW_FLASH if plan == "slow-flash" else get_preset(plan)
+    spec = Scenario(**TINY, storage=storage, faults=faults).to_spec(0)
+    assert spec.kind == "faulty_job"
+    payload = json.loads(json.dumps(execute_spec(spec), sort_keys=True))
+    if plan == "slow-flash":
+        assert payload["faults"]["disk_slow_episodes"] > 0
+    assert len(built) == (2 if storage == "ssd" else 1)
+    for dev in built:
+        dev.check_conservation()
+    assert len(payload["storage"]) == len(built)
+    for stats in payload["storage"].values():
+        assert stats["nand_programs"] == \
+            stats["host_pages"] + stats["gc_moved_pages"]
+    monkeypatch.undo()
+    with SweepRunner(jobs=1, use_cache=False) as runner:
+        [serial] = runner.run_specs([spec])
+    with SweepRunner(jobs=2, use_cache=False) as runner:
+        [parallel] = runner.run_specs([spec])
+    assert digest(serial) == digest(parallel) == digest(payload)
 
 
 def test_cache_tier_ledger_balances():

@@ -59,9 +59,9 @@ def test_run_scenario_end_to_end():
     assert timing.events_per_s == pytest.approx(timing.events / timing.wall_s)
     assert timing.rss_mb > 0
     assert len(timing.walls) == 2
-    assert timing.speedup == pytest.approx(
-        timing.events_per_s / 10548.0, rel=1e-6
-    )
+    # Speedup is baseline wall time over measured wall time (the
+    # tiny scenario's baseline wall is 1.0 s).
+    assert timing.speedup == pytest.approx(1.0 / timing.wall_s, rel=1e-6)
     # Median of two repeats is their mean.
     assert timing.wall_s == pytest.approx(sum(timing.walls) / 2)
 
@@ -123,6 +123,25 @@ def test_cli_bench_subcommand(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert "sysbench" in doc["scenarios"]
     assert capsys.readouterr().out.strip() == str(out)
+
+
+def test_cli_gate_reads_wall_time_not_events_per_s(tmp_path, monkeypatch):
+    """A scenario that got faster by doing fewer events passes the gate."""
+    import dataclasses
+
+    from repro.cli import main
+
+    def gate_on(baseline):
+        scenario = dataclasses.replace(
+            _tiny_scenario(), name=GATE_SCENARIO, baseline=baseline)
+        monkeypatch.setitem(SCENARIOS, GATE_SCENARIO, scenario)
+        return main(["bench", GATE_SCENARIO, "--repeats", "1",
+                     "--out", str(tmp_path / "b.json"), "--gate", "2"])
+
+    # Far slower baseline wall, absurd baseline events/s: passes.
+    assert gate_on(Baseline(wall_s=1e6, events=1, events_per_s=1e12)) == 0
+    # Baseline wall far faster than any real run: fails.
+    assert gate_on(Baseline(wall_s=1e-9, events=1, events_per_s=1e-9)) == 1
 
 
 def test_cli_bench_unknown_scenario():

@@ -130,6 +130,127 @@ def test_service_scale_slows_ssd():
     assert run_with(4.0) > run_with(1.0)
 
 
+def test_service_scale_applies_to_ops_charged_after_it():
+    """A NAND op takes the scale in force when it is booked on its
+    channel: ops already queued keep their time, later ones stretch."""
+    env = Environment()
+    dev = make_ssd(env)
+    # Unmapped pages 0 and 2 both live on channel 0 (2 channels).
+    first = dev.submit(read(0))
+    queued = dev.submit(read(16))
+    env.run(until=1e-9)  # both dispatched and booked at t=0
+    dev.service_scale = 4.0
+    late = dev.submit(read(32))  # page 4: channel 0 again
+    for ev in (first, queued, late):
+        env.run(until=ev)
+    lat = SMALL.read_latency
+    assert first.value.complete_time == lat
+    # Still waiting for the channel when the scale changed, but booked
+    # before it: unscaled.
+    assert queued.value.complete_time == lat + lat
+    assert late.value.complete_time == (lat + lat) + lat * 4.0
+
+
+def test_channel_backlog_trace_hand_computed():
+    """ssd.channel carries the seconds of work left on the channel."""
+    from repro.sim import TraceBus
+
+    env = Environment()
+    bus = TraceBus()
+    seen = []
+    bus.subscribe("ssd.channel", lambda r: seen.append((r.time, r.payload)))
+    dev = make_ssd(env, trace=bus)
+    done = [dev.submit(read(0)), dev.submit(read(16))]
+    for ev in done:
+        env.run(until=ev)
+    lat = SMALL.read_latency
+    assert seen == [
+        (0.0, {"device": dev.name, "channel": 0, "backlog": lat}),
+        (0.0, {"device": dev.name, "channel": 0, "backlog": lat + lat}),
+    ]
+    assert [ev.value.complete_time for ev in done] == [lat, lat + lat]
+
+
+#: Pinned outputs of ``_churn_with_reads`` (recorded on the model where
+#: every NAND channel was its own server process): GC victims and moved
+#: pages in order, final FTL counters, final clock, read completions.
+CHURN_GC = [
+    (0, 2), (1, 2), (2, 2), (3, 2), (4, 0), (0, 2), (5, 0),
+] + [(b, 0) for b in (1, 2, 3, 4, 0, 5)] * 5 + [(1, 0), (2, 0)]
+CHURN_STATS = {
+    "kind": "ssd", "host_pages": 170, "nand_programs": 180,
+    "nand_reads": 96, "nand_erases": 39, "gc_cycles": 39,
+    "gc_moved_pages": 10, "flushed_pages": 170, "cache_coalesced": 0,
+    "cache_read_hits": 0, "write_amp": 1.0588235294117647,
+}
+CHURN_NOW = 16.096419999999984
+CHURN_READS = [
+    0.0024600000000000004, 0.002085, 0.0025200000000000005, 0.002145,
+    0.0025800000000000007, 0.0022050000000000004, 1.0073599999999996,
+    1.0074199999999995, 1.0073599999999996, 1.0074199999999995,
+    1.0074799999999995, 2.0118599999999986, 2.0124599999999986,
+    2.0125199999999985, 2.0119199999999986, 2.0119799999999985,
+    3.016979999999998, 3.017039999999998, 3.0196999999999976,
+    3.0197599999999976, 3.017099999999998, 3.017159999999998, 4.02362,
+    4.023680000000001, 4.023740000000001, 4.023800000000001,
+    4.026220000000001, 5.028305000000002, 5.028365000000003,
+    5.028425000000003, 5.032880000000005, 5.032940000000005,
+    6.039600000000009, 6.039660000000009, 6.037400000000007,
+    6.037460000000007, 6.037520000000008, 6.037580000000008,
+    7.0435200000000115, 7.043580000000012, 7.043640000000012,
+    7.043700000000013, 7.046120000000013, 8.048205000000012,
+    8.05278000000001, 8.052840000000009, 8.048265000000011,
+    8.04832500000001, 9.059100000000006, 9.059160000000006,
+    9.056700000000006, 9.056760000000006, 9.056820000000005,
+    9.056880000000005, 10.063420000000002, 10.063480000000002,
+    10.065220000000004, 10.065280000000003, 10.063540000000001, 11.06914,
+    11.0692, 11.06926, 11.06974, 11.069799999999999, 12.074259999999997,
+    12.074319999999997, 12.076459999999996, 12.076519999999995,
+    12.074379999999996, 12.074439999999996, 13.080379999999993,
+    13.080439999999992, 13.080499999999992, 13.080559999999991,
+    13.082979999999992, 14.085064999999991, 14.08512499999999,
+    14.08518499999999, 14.089639999999989, 14.089699999999988,
+    15.096359999999985, 15.096419999999984, 15.094159999999986,
+    15.094219999999986, 15.094279999999985, 15.094339999999985,
+]
+
+
+def _churn_with_reads():
+    """Partial overwrite churn on SMALL, reading the cold extents while
+    each round's writeback (and the GC it triggers) holds the channels."""
+    from repro.sim import TraceBus
+
+    env = Environment()
+    bus = TraceBus()
+    gc = []
+    bus.subscribe("ssd.gc", lambda r: gc.append(
+        (r.payload["victim"], r.payload["moved"])))
+    dev = make_ssd(env, trace=bus)
+    reads = []
+    for rnd in range(16):
+        hot = [i for i in range(16) if (i * 7 + rnd) % 3]
+        cold = [i for i in range(16) if not (i * 7 + rnd) % 3]
+        for ev in [dev.submit(write(i * 8)) for i in hot]:
+            env.run(until=ev)
+        env.run(until=env.now + SMALL.writeback_delay)
+        done = [dev.submit(read(i * 8)) for i in cold]
+        for ev in done:
+            env.run(until=ev)
+        reads += [ev.value.complete_time for ev in done]
+        env.run(until=env.now + 1.0)
+    dev.check_conservation()
+    return gc, dev.storage_stats(), env.now, reads
+
+
+def test_gc_churn_bit_identical():
+    """No benchmark workload reaches GC, so its timing is pinned here."""
+    gc, stats, now, reads = _churn_with_reads()
+    assert gc == CHURN_GC
+    assert stats == CHURN_STATS
+    assert now == CHURN_NOW
+    assert reads == CHURN_READS
+
+
 def test_trace_topics_published():
     """ssd.* topics fire on churn (registry half lives in obs.topics)."""
     from repro.sim import TraceBus

@@ -88,3 +88,28 @@ def test_schedule_negative_delay_rejected():
     ev = env.event()
     with pytest.raises(ValueError):
         env.schedule(ev, delay=-0.5)
+
+
+def test_timeout_at_fires_at_exactly_the_absolute_time():
+    # 0.7 + (2.9 - 0.7) rounds to 2.9000000000000004: a relative
+    # timeout would miss the absolute time by one ulp.
+    env = Environment(initial_time=0.7)
+    assert env.now + (2.9 - env.now) != 2.9
+    seen = []
+
+    def proc(env):
+        value = yield env.timeout_at(2.9, value="v")
+        seen.append((env.now, value))
+
+    env.process(proc(env))
+    env.run()
+    assert seen == [(2.9, "v")]
+
+
+def test_timeout_at_now_and_past():
+    env = Environment(initial_time=1.0)
+    ev = env.timeout_at(1.0)
+    env.run(until=ev)
+    assert env.now == 1.0
+    with pytest.raises(ValueError):
+        env.timeout_at(0.5)
