@@ -10,8 +10,9 @@ heuristic explores at most P x S of them.
 
 import time
 
-from repro.core import ChainConfig, ChainRunner, HeuristicSearch, profile_single_pairs
+from repro.core import ChainConfig, HeuristicSearch, profile_single_pairs
 from repro.api import scaled_cluster, scaled_job
+from repro.runner import SweepChainRunner, SweepRunner
 from repro.virt import SchedulerPair
 from repro.workloads import SORT
 
@@ -25,7 +26,9 @@ def main() -> None:
         jobs=(scaled_job(SORT, scale), scaled_job(SORT, scale)),
         seeds=(0,),
     )
-    runner = ChainRunner(config)
+    # Serial and in-memory: every chain run simulates here, nothing is
+    # written to disk.
+    runner = SweepChainRunner(config, SweepRunner(jobs=1, use_cache=False))
     space = len(CANDIDATES) ** config.n_phases
     print(
         f"chain: sort -> sort (two-pass), {config.n_phases} phases, "

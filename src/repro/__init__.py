@@ -35,7 +35,6 @@ from .api import (
 from .core import (
     AdaptiveMetaScheduler,
     AdaptiveReport,
-    JobRunner,
     Solution,
     SwitchCostMeter,
     TestbedConfig,
@@ -51,7 +50,6 @@ __all__ = [
     "BENCHMARKS",
     "ClusterConfig",
     "JobConfig",
-    "JobRunner",
     "JobResult",
     "JobSpec",
     "MultiJobScenario",

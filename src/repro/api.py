@@ -1,8 +1,8 @@
 """The stable public facade: build a scenario, simulate it, sweep it.
 
-Everything the examples and experiment kinds used to wire by hand —
-``scaled_testbed`` → ``JobRunner`` → ``SweepRunner`` — is reachable
-through three names:
+Everything the examples and experiment kinds would otherwise wire by
+hand — ``scaled_testbed`` → one simulated run → ``SweepRunner`` — is
+reachable through three names:
 
 * :class:`Scenario` — a declarative description of one simulated
   MapReduce experiment (workload, testbed shape, scheduler plan,
@@ -17,9 +17,10 @@ The facade is a thin veneer: a ``Scenario`` lowers to exactly the
 produced, so payloads and on-disk cache keys are bit-identical whether
 a run comes from here, from ``repro.experiments``, or from the CLI.
 
-The calibrated-testbed helpers (``scaled_testbed`` and friends) moved
-here from ``repro.experiments.common``; the old module re-exports them
-with a :class:`DeprecationWarning`.
+Below the facade sit the calibrated-testbed helpers (``scaled_testbed``
+and friends) and the one construction path every single-job run takes:
+:func:`assemble_job` builds the stack and :func:`run_job` runs a phase
+plan on it.
 
 Quickstart::
 
@@ -37,11 +38,12 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from .core.experiment import JobRunner, TestbedConfig
+from .core.experiment import TestbedConfig
 from .core.solution import Solution
 from .ctrl.config import CtrlConfig
 from .ctrl.policies import resolve_policy
 from .disk.backend import UnknownStorageError, resolve_storage
+from .faults.injector import FaultInjector
 from .faults.plan import FaultPlan
 from .hdfs.namenode import NameNode
 from .mapreduce.job import MB, JobConfig, JobSpec
@@ -50,6 +52,7 @@ from .mapreduce.multijob import JOB_SCHEDULERS, MultiJobConfig, SwitchPlan
 from .mapreduce.phases import JobResult
 from .net.topology import Topology
 from .sim.core import Environment, finish_event_census, start_event_census
+from .sim.process import Process
 from .virt.cluster import ClusterConfig, VirtualCluster
 from .virt.pagecache import PageCacheParams
 from .virt.pair import DEFAULT_PAIR, SchedulerPair
@@ -68,6 +71,7 @@ __all__ = [
     "assemble_cluster",
     "assemble_job",
     "default_seeds",
+    "run_job",
     "scaled_cluster",
     "scaled_job",
     "scaled_pagecache",
@@ -78,7 +82,7 @@ __all__ = [
 ]
 
 
-# -- the calibrated testbed (moved from repro.experiments.common) ---------------------
+# -- the calibrated testbed ---------------------------------------------------------
 #
 # All experiments run on one calibrated testbed matching the paper's:
 # 4 hosts × 4 VMs, 1 TB SATA per host, 1 Gb/s NICs, Hadoop 0.19 slot
@@ -221,7 +225,7 @@ def scaled_testbed(
 class JobAssembly:
     """Everything one simulated MapReduce run is built from.
 
-    ``env.run(until=assembly.job.start())`` executes the job; the other
+    ``env.run(until=assembly.start())`` executes the job; the other
     members stay reachable for instrumentation (per-device stats,
     controller attachment, elevator knockouts) between assembly and run.
     """
@@ -232,25 +236,30 @@ class JobAssembly:
     namenode: NameNode
     job: MapReduceJob
 
+    def start(self) -> Process:
+        """Start the job, then its fault injector when the plan is active.
+
+        The injector needs ``job.attempts``, which ``job.start()``
+        creates, so the order is fixed.
+        """
+        proc = self.job.start()
+        plan = self.job.fault_plan
+        if plan is not None and plan.is_active:
+            FaultInjector(self.env, self.cluster, plan,
+                          manager=self.job.attempts, trace=self.job.trace,
+                          stats=self.job.extra_fault_stats)
+        return proc
+
 
 def assemble_cluster(
     cluster_config: ClusterConfig,
     seed: Optional[int] = None,
     trace=None,
-    storage: Optional[str] = None,
 ) -> Tuple[Environment, VirtualCluster]:
-    """Fresh environment + virtual cluster (the bottom half of a run).
-
-    ``storage`` overrides the config's backend by registry name
-    (hdd/ssd/hybrid); unknown names raise
-    :class:`~repro.disk.backend.UnknownStorageError` listing what is
-    registered.
-    """
-    env = Environment(trace=trace)
+    """Fresh environment + virtual cluster (the bottom half of a run)."""
+    env = Environment()
     if seed is not None:
         cluster_config = cluster_config.with_(seed=seed)
-    if storage is not None:
-        cluster_config = cluster_config.with_(storage=resolve_storage(storage))
     cluster = VirtualCluster(env, cluster_config, trace=trace)
     return env, cluster
 
@@ -261,25 +270,69 @@ def assemble_job(
     seed: Optional[int] = None,
     trace=None,
     fault_plan: Optional[FaultPlan] = None,
-    replication: Optional[int] = None,
 ) -> JobAssembly:
     """Wire up one MapReduce run: env, cluster, network, HDFS, job.
 
-    This is the construction sequence previously copy-pasted across the
-    run kinds and examples; every keyword defaults to what those call
-    sites passed, so routing them through here is behaviour-preserving.
+    The only single-job constructor: every run kind that executes one
+    job builds it here, so the construction order is the same for all.
     """
     env, cluster = assemble_cluster(cluster_config, seed=seed, trace=trace)
     topology = Topology(env)
-    if replication is None:
-        namenode = NameNode(cluster, block_size=job_config.block_size)
-    else:
-        namenode = NameNode(cluster, block_size=job_config.block_size,
-                            replication=replication)
+    namenode = NameNode(cluster, block_size=job_config.block_size,
+                        replication=job_config.replication)
     job = MapReduceJob(env, cluster, topology, namenode, job_config,
                        trace=trace, fault_plan=fault_plan)
     return JobAssembly(env=env, cluster=cluster, topology=topology,
                        namenode=namenode, job=job)
+
+
+def run_job(
+    testbed: TestbedConfig,
+    solution: Solution,
+    seed: int,
+    *,
+    fault_plan: Optional[FaultPlan] = None,
+    trace=None,
+) -> Tuple[JobResult, float]:
+    """One uncached simulated run of a phase plan: ``(result, stall)``.
+
+    The cluster starts on the plan's first pair; the remaining
+    assignments fire at the phase boundaries, and ``stall`` is the
+    simulated time spent inside those switches.
+    """
+    parts = assemble_job(
+        testbed.cluster.with_(initial_pair=solution.assignments[0]),
+        testbed.job, seed=seed, trace=trace, fault_plan=fault_plan,
+    )
+    env, cluster, job = parts.env, parts.cluster, parts.job
+    proc = parts.start()
+
+    stall_total = [0.0]
+    if solution.n_switches > 0:
+        env.process(_switcher(env, cluster, job, solution, testbed.n_phases,
+                              stall_total))
+
+    env.run(until=proc)
+    result: JobResult = proc.value
+    # Backend counters ride on the result; all-HDD clusters report
+    # nothing, so their payloads stay bit-identical.
+    result.storage = cluster.storage_stats()
+    return result, stall_total[0]
+
+
+def _switcher(env, cluster, job: MapReduceJob, solution: Solution,
+              n_phases: int, stall_total):
+    """Fires the plan's switches at the phase boundaries."""
+    boundaries = [job.maps_done_event]
+    if n_phases == 3:
+        boundaries.append(job.shuffle_done_event)
+    for boundary, assignment in zip(boundaries, solution.assignments[1:]):
+        yield boundary
+        if assignment is None:
+            continue
+        start = env.now
+        yield cluster.set_pair(assignment)
+        stall_total[0] += env.now - start
 
 
 # -- the scenario builder ------------------------------------------------------------
@@ -665,20 +718,15 @@ def simulate(scenario: Scenario, seed: int = 0, trace=None) -> RunResult:
     from .runner.kinds import encode_job_result, _reset_run_ids
 
     _reset_run_ids()
-    runner = JobRunner(
-        scenario.testbed(seeds=(seed,)),
-        trace_factory=(lambda _seed: trace) if trace is not None else None,
-        fault_plan=scenario.faults,
-    )
+    testbed, solution = scenario.testbed(seeds=(seed,)), scenario.solution()
     start_event_census()
     t0 = time.perf_counter()
-    result, stall = runner.execute_once(scenario.solution(), seed)
+    result, stall = run_job(testbed, solution, seed,
+                            fault_plan=scenario.faults, trace=trace)
     wall_s = time.perf_counter() - t0
     events = finish_event_census()
-    payload = encode_job_result(result, stall)
-    if scenario.faults is not None:
-        payload["faults"] = {k: result.fault_stats[k]
-                             for k in sorted(result.fault_stats)}
+    payload = encode_job_result(result, stall,
+                                faults=scenario.faults is not None)
     return RunResult(payload=payload, result=result, switch_stall=stall,
                      events=events, wall_s=wall_s)
 

@@ -9,9 +9,9 @@ Public surface::
 """
 
 from .bruteforce import BruteForceSearch, enumerate_solutions
-from .chains import ChainConfig, ChainOutcome, ChainRunner
+from .chains import ChainConfig, ChainOutcome
 from .finegrained import FineGrainedAssignment, FineGrainedPlan, apply_assignment
-from .experiment import JobRunner, RunOutcome, TestbedConfig
+from .experiment import RunOutcome, TestbedConfig
 from .heuristic import (
     HeuristicSearch,
     ProfiledScores,
@@ -30,7 +30,6 @@ __all__ = [
     "BruteForceSearch",
     "ChainConfig",
     "ChainOutcome",
-    "ChainRunner",
     "FineGrainedAssignment",
     "FineGrainedPlan",
     "DetectorParams",
@@ -41,7 +40,6 @@ __all__ = [
     "Regime",
     "apply_assignment",
     "HeuristicSearch",
-    "JobRunner",
     "ProfiledScores",
     "RunOutcome",
     "SearchResult",

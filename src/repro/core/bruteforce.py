@@ -9,12 +9,14 @@ instances (tests + the ablation bench).
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..virt.pair import SchedulerPair, all_pairs
-from .experiment import JobRunner
 from .heuristic import SearchResult
 from .solution import Solution
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..runner.adapter import SweepChainRunner, SweepJobRunner
 
 __all__ = ["BruteForceSearch", "enumerate_solutions"]
 
@@ -42,7 +44,7 @@ def enumerate_solutions(
 class BruteForceSearch:
     """Evaluate every plan; optimal but exponential."""
 
-    def __init__(self, runner: JobRunner,
+    def __init__(self, runner: "SweepJobRunner | SweepChainRunner",
                  pairs: Optional[Sequence[SchedulerPair]] = None):
         self.runner = runner
         self.pairs = list(pairs) if pairs is not None else all_pairs()

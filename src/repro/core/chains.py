@@ -3,10 +3,9 @@
 A chain of K MapReduce jobs has 2K phases; at S = 16 pairs the solution
 space ``S^(2K)`` explodes (16⁴ = 65536 plans for two jobs), which is
 the paper's argument for a heuristic bounded by ``P × S`` evaluations.
-:class:`ChainRunner` executes a chain inside one simulation — each job
-reads the previous job's HDFS output — and exposes the same
-``score``/``run_plan``/``run_uniform`` interface as
-:class:`~repro.core.experiment.JobRunner`, so
+:func:`run_chain` executes a chain inside one simulation — each job
+reads the previous job's HDFS output.  Plans over a chain are scored by
+:class:`~repro.runner.adapter.SweepChainRunner`, so
 :class:`~repro.core.heuristic.HeuristicSearch` and
 :class:`~repro.core.bruteforce.BruteForceSearch` run on chains
 unchanged.
@@ -16,18 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import mean
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..hdfs.namenode import NameNode
 from ..mapreduce.job import JobConfig
 from ..mapreduce.jobtracker import MapReduceJob
 from ..net.topology import Topology
-from ..sim.core import Environment
-from ..virt.cluster import ClusterConfig, VirtualCluster
-from ..virt.pair import SchedulerPair
+from ..virt.cluster import ClusterConfig
 from .solution import Solution
 
-__all__ = ["ChainConfig", "ChainRunner", "ChainOutcome"]
+__all__ = ["ChainConfig", "ChainOutcome", "run_chain"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class ChainConfig:
 
 @dataclass
 class ChainOutcome:
-    """Aggregated chain execution (JobRunner RunOutcome-compatible)."""
+    """Aggregated chain execution (RunOutcome-compatible)."""
 
     solution: Solution
     durations: List[float]
@@ -70,101 +67,65 @@ class ChainOutcome:
         return tuple(mean(col) for col in zip(*self.phase_rows))
 
 
-class ChainRunner:
-    """Execute phase plans over a job chain (JobRunner-compatible)."""
+def run_chain(config: ChainConfig, solution: Solution, seed: int,
+              trace=None) -> Tuple[float, Tuple[float, ...]]:
+    """One uncached chained run: ``(duration, per-phase durations)``."""
+    # Imported here, not at module level: repro.api sits above core.
+    from ..api import assemble_cluster
 
-    def __init__(self, config: ChainConfig, trace=None):
-        self.config = config
-        #: Optional TraceBus threaded into every chained simulation.
-        self.trace = trace
-        self._cache: Dict[Solution, ChainOutcome] = {}
-        self.runs_executed = 0
+    env, cluster = assemble_cluster(
+        config.cluster.with_(initial_pair=solution.assignments[0]),
+        seed=seed, trace=trace,
+    )
+    topology = Topology(env)
+    boundaries: List[float] = []
+    driver = env.process(_drive_chain(env, cluster, topology, config.jobs,
+                                      solution, boundaries, trace))
+    env.run(until=driver)
+    duration = env.now
+    marks = [0.0] + boundaries + [duration]
+    phases = tuple(b - a for a, b in zip(marks, marks[1:]))
+    return duration, phases
 
-    # -- JobRunner-compatible surface -----------------------------------------------
-    def run_uniform(self, pair: SchedulerPair) -> ChainOutcome:
-        return self.run_plan(Solution.uniform(pair, self.config.n_phases))
 
-    def run_plan(self, solution: Solution) -> ChainOutcome:
-        if len(solution) != self.config.n_phases:
-            raise ValueError(
-                f"plan has {len(solution)} phases, chain expects "
-                f"{self.config.n_phases}"
+def _drive_chain(env, cluster, topology, jobs: Tuple[JobConfig, ...],
+                 solution: Solution, boundaries: List[float], trace):
+    assignments = solution.assignments
+    phase = 0
+    prev_output = None
+    carry_over = {}
+    for idx, job_config in enumerate(jobs):
+        # Chain the data: job i+1 consumes job i's output.
+        if prev_output is not None:
+            job_config = job_config.with_(
+                input_path=prev_output,
+                output_path=f"{job_config.output_path}_{idx}",
             )
-        cached = self._cache.get(solution)
-        if cached is not None:
-            return cached
-        durations: List[float] = []
-        rows: List[Tuple[float, ...]] = []
-        for seed in self.config.seeds:
-            duration, phases = self.execute_once(solution, seed)
-            durations.append(duration)
-            rows.append(phases)
-        outcome = ChainOutcome(solution, durations, rows)
-        self._cache[solution] = outcome
-        return outcome
-
-    def score(self, solution: Solution) -> float:
-        return self.run_plan(solution).mean_duration
-
-    # -- one chained run ---------------------------------------------------------------
-    def execute_once(self, solution: Solution, seed: int) -> Tuple[float, Tuple[float, ...]]:
-        """One uncached chained run: ``(duration, per-phase durations)``."""
-        self.runs_executed += 1
-        env = Environment()
-        first_pair = solution.assignments[0]
-        cluster = VirtualCluster(
-            env, self.config.cluster.with_(initial_pair=first_pair, seed=seed),
-            trace=self.trace,
+        namenode = NameNode(
+            cluster,
+            block_size=job_config.block_size,
+            replication=job_config.replication,
         )
-        topology = Topology(env)
-        boundaries: List[float] = []
-        driver = env.process(
-            self._drive_chain(env, cluster, topology, solution, boundaries)
-        )
-        env.run(until=driver)
-        duration = env.now
-        marks = [0.0] + boundaries + [duration]
-        phases = tuple(b - a for a, b in zip(marks, marks[1:]))
-        return duration, phases
+        namenode._files.update(carry_over)  # noqa: SLF001 - handoff
+        job = MapReduceJob(env, cluster, topology, namenode, job_config,
+                           trace=trace)
+        proc = job.start()
 
-    def _drive_chain(self, env, cluster, topology, solution: Solution,
-                     boundaries: List[float]):
-        assignments = solution.assignments
-        phase = 0
-        prev_output = None
-        carry_over = {}
-        for idx, job_config in enumerate(self.config.jobs):
-            # Chain the data: job i+1 consumes job i's output.
-            if prev_output is not None:
-                job_config = job_config.with_(
-                    input_path=prev_output,
-                    output_path=f"{job_config.output_path}_{idx}",
-                )
-            namenode = NameNode(
-                cluster,
-                block_size=job_config.block_size,
-                replication=job_config.replication,
-            )
-            namenode._files.update(carry_over)  # noqa: SLF001 - handoff
-            job = MapReduceJob(env, cluster, topology, namenode, job_config,
-                               trace=self.trace)
-            proc = job.start()
-
-            # Phase boundary: entering this job (switch if planned).
-            if phase > 0:
-                boundaries.append(env.now)
-                if assignments[phase] is not None:
-                    yield cluster.set_pair(assignments[phase])
-            phase += 1
-
-            # Phase boundary: this job's maps-done.
-            yield job.maps_done_event
+        # Phase boundary: entering this job (switch if planned).
+        if phase > 0:
             boundaries.append(env.now)
             if assignments[phase] is not None:
                 yield cluster.set_pair(assignments[phase])
-            phase += 1
+        phase += 1
 
-            yield proc
-            prev_output = job_config.output_path
-            carry_over = {prev_output: namenode.lookup(prev_output)}
-        return env.now
+        # Phase boundary: this job's maps-done.
+        yield job.maps_done_event
+        boundaries.append(env.now)
+        if assignments[phase] is not None:
+            yield cluster.set_pair(assignments[phase])
+        phase += 1
+
+        yield proc
+        prev_output = job_config.output_path
+        carry_over = {prev_output: namenode.lookup(prev_output)}
+    return env.now

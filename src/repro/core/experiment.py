@@ -1,31 +1,24 @@
-"""The job-execution harness: run a MapReduce job under a phase plan.
+"""The experiment setup and the aggregated outcome of one phase plan.
 
-Every run builds a fresh simulated testbed (environment, cluster,
-network, HDFS) so runs are independent — the analogue of the paper's
-freshly prepared cluster per measurement — and results are averaged
-over the configured seeds ("average of three consecutive runs").
+A plan is scored on a fresh simulated testbed per seed (see
+:func:`repro.api.run_job`), so runs are independent — the analogue of
+the paper's freshly prepared cluster per measurement — and results are
+averaged over the configured seeds ("average of three consecutive
+runs").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from statistics import mean
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
-from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan
-from ..hdfs.namenode import NameNode
 from ..mapreduce.job import JobConfig
-from ..mapreduce.jobtracker import MapReduceJob
 from ..mapreduce.phases import JobResult
-from ..net.topology import Topology
-from ..sim.core import Environment
-from ..sim.tracing import TraceBus
-from ..virt.cluster import ClusterConfig, VirtualCluster
-from ..virt.pair import SchedulerPair
+from ..virt.cluster import ClusterConfig
 from .solution import Solution
 
-__all__ = ["TestbedConfig", "RunOutcome", "JobRunner"]
+__all__ = ["TestbedConfig", "RunOutcome"]
 
 
 @dataclass(frozen=True)
@@ -80,100 +73,3 @@ class RunOutcome:
         if n_phases == 2:
             return (p.ph1, p.ph2 + p.ph3)
         return (p.ph1, p.ph2, p.ph3)
-
-
-class JobRunner:
-    """Executes plans on freshly built testbeds and caches outcomes."""
-
-    def __init__(self, config: TestbedConfig, trace_factory=None,
-                 fault_plan: Optional[FaultPlan] = None):
-        self.config = config
-        #: Optional callable(seed) -> TraceBus for instrumented runs.
-        self.trace_factory = trace_factory
-        #: Optional fault plan applied to every run (None = fault-free).
-        self.fault_plan = fault_plan
-        self._cache: Dict[Solution, RunOutcome] = {}
-        self.runs_executed = 0
-
-    # -- public API ---------------------------------------------------------------
-    def run_uniform(self, pair: SchedulerPair) -> RunOutcome:
-        return self.run_plan(Solution.uniform(pair, self.config.n_phases))
-
-    def run_plan(self, solution: Solution) -> RunOutcome:
-        if len(solution) != self.config.n_phases:
-            raise ValueError(
-                f"plan has {len(solution)} phases, testbed expects "
-                f"{self.config.n_phases}"
-            )
-        cached = self._cache.get(solution)
-        if cached is not None:
-            return cached
-        results: List[JobResult] = []
-        stalls: List[float] = []
-        for seed in self.config.seeds:
-            result, stall = self.execute_once(solution, seed)
-            results.append(result)
-            stalls.append(stall)
-        outcome = RunOutcome(solution=solution, results=results,
-                             switch_stalls=stalls)
-        self._cache[solution] = outcome
-        return outcome
-
-    def score(self, solution: Solution) -> float:
-        """The paper's ``Hadoop_time``: mean job duration for a plan."""
-        return self.run_plan(solution).mean_duration
-
-    # -- one simulated run -------------------------------------------------------------
-    def execute_once(self, solution: Solution, seed: int) -> Tuple[JobResult, float]:
-        """One uncached simulated run: ``(job result, switch stall)``."""
-        self.runs_executed += 1
-        env = Environment()
-        trace = self.trace_factory(seed) if self.trace_factory else None
-        first_pair = solution.assignments[0]
-        cluster = VirtualCluster(
-            env,
-            self.config.cluster.with_(initial_pair=first_pair, seed=seed),
-            trace=trace,
-        )
-        topology = Topology(env)
-        namenode = NameNode(
-            cluster,
-            block_size=self.config.job.block_size,
-            replication=self.config.job.replication,
-        )
-        plan = self.fault_plan
-        job = MapReduceJob(
-            env, cluster, topology, namenode, self.config.job, trace=trace,
-            fault_plan=plan,
-        )
-        proc = job.start()
-        if plan is not None and plan.is_active:
-            FaultInjector(
-                env, cluster, plan, manager=job.attempts, trace=trace,
-                stats=job.extra_fault_stats,
-            )
-
-        stall_total = [0.0]
-        if solution.n_switches > 0:
-            env.process(self._switcher(env, cluster, job, solution, stall_total))
-
-        env.run(until=proc)
-        result: JobResult = proc.value
-        # Backend counters ride on the result; all-HDD clusters report
-        # nothing, so their payloads stay bit-identical.
-        result.storage = cluster.storage_stats()
-        return result, stall_total[0]
-
-    def _switcher(self, env, cluster, job: MapReduceJob, solution: Solution,
-                  stall_total):
-        """Fires the plan's switches at the phase boundaries."""
-        boundaries = [job.maps_done_event]
-        if self.config.n_phases == 3:
-            boundaries.append(job.shuffle_done_event)
-        for boundary, assignment in zip(boundaries, solution.assignments[1:]):
-            yield boundary
-            if assignment is None:
-                continue
-            start = env.now
-            yield cluster.set_pair(assignment)
-            stall_total[0] += env.now - start

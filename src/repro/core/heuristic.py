@@ -14,11 +14,13 @@ fixed pair.  Worst case ``P × S`` evaluations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..virt.pair import SchedulerPair, all_pairs
-from .experiment import JobRunner
 from .solution import Solution
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..runner.adapter import SweepChainRunner, SweepJobRunner
 
 __all__ = ["ProfiledScores", "profile_single_pairs", "HeuristicSearch", "SearchResult"]
 
@@ -53,18 +55,16 @@ class ProfiledScores:
 
 
 def profile_single_pairs(
-    runner: JobRunner, pairs: Optional[Sequence[SchedulerPair]] = None
+    runner: "SweepJobRunner | SweepChainRunner",
+    pairs: Optional[Sequence[SchedulerPair]] = None,
 ) -> ProfiledScores:
     """Run the job once per pair (the paper's initial profiling pass).
 
-    The profiling runs are independent, so a sweep-backed runner (one
-    with ``prefetch_uniform``) executes them as one parallel batch
-    before the sequential read-back below.
+    The profiling runs are independent, so the runner executes them as
+    one parallel batch before the sequential read-back below.
     """
     pairs = list(pairs) if pairs is not None else all_pairs()
-    prefetch = getattr(runner, "prefetch_uniform", None)
-    if prefetch is not None:
-        prefetch(pairs)
+    runner.prefetch_uniform(pairs)
     totals: Dict[SchedulerPair, float] = {}
     per_phase: Dict[SchedulerPair, Tuple[float, ...]] = {}
     for pair in pairs:
@@ -86,11 +86,11 @@ class SearchResult:
 
 
 class HeuristicSearch:
-    """The paper's Algorithm 1 over a :class:`JobRunner`."""
+    """The paper's Algorithm 1 over a plan runner (one job or a chain)."""
 
     def __init__(
         self,
-        runner: JobRunner,
+        runner: "SweepJobRunner | SweepChainRunner",
         scores: ProfiledScores,
         pairs: Optional[Sequence[SchedulerPair]] = None,
     ):

@@ -10,12 +10,15 @@ adaptive plan next to the paper's two baselines — the default
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..virt.pair import DEFAULT_PAIR, SchedulerPair, all_pairs
-from .experiment import JobRunner, TestbedConfig
+from .experiment import TestbedConfig
 from .heuristic import HeuristicSearch, ProfiledScores, SearchResult, profile_single_pairs
 from .solution import Solution
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..runner.adapter import SweepJobRunner
 
 __all__ = ["AdaptiveMetaScheduler", "AdaptiveReport"]
 
@@ -53,17 +56,29 @@ class AdaptiveReport:
 
 
 class AdaptiveMetaScheduler:
-    """Profile → search → report, on one testbed configuration."""
+    """Profile → search → report, on one testbed configuration.
+
+    Without a ``runner``, plans run serially through a private
+    :class:`~repro.runner.sweep.SweepRunner` that memoises in memory
+    and writes nothing to disk.
+    """
 
     def __init__(
         self,
         config: TestbedConfig,
         pairs: Optional[Sequence[SchedulerPair]] = None,
-        runner: Optional[JobRunner] = None,
+        runner: Optional["SweepJobRunner"] = None,
     ):
+        if runner is None:
+            # Imported here, not at module level: the runner layer sits
+            # above core.
+            from ..runner import SweepJobRunner, SweepRunner
+
+            runner = SweepJobRunner(config, SweepRunner(jobs=1,
+                                                        use_cache=False))
         self.config = config
         self.pairs = list(pairs) if pairs is not None else all_pairs()
-        self.runner = runner or JobRunner(config)
+        self.runner = runner
         self._scores: Optional[ProfiledScores] = None
         self._search: Optional[SearchResult] = None
 

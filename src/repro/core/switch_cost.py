@@ -20,8 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sim.core import Environment
-from ..virt.cluster import ClusterConfig, VirtualCluster
+from ..virt.cluster import ClusterConfig
 from ..virt.pair import SchedulerPair, all_pairs
 from ..workloads.ddwrite import DdParallelWrite
 
@@ -45,10 +44,11 @@ def run_dd_once(
     trace=None,
 ) -> float:
     """One dd measurement run (optionally switching pairs mid-flight)."""
-    env = Environment()
-    cluster = VirtualCluster(
-        env, cluster_config.with_(initial_pair=pair, seed=seed), trace=trace
-    )
+    # Imported here, not at module level: repro.api sits above core.
+    from ..api import assemble_cluster
+
+    env, cluster = assemble_cluster(cluster_config.with_(initial_pair=pair),
+                                    seed=seed, trace=trace)
     host = cluster.hosts[0]
     bench = DdParallelWrite(env, host, nbytes=nbytes)
     proc = bench.start()

@@ -1,7 +1,7 @@
 """The online adaptive controller: live signals → boundaries → switches.
 
-Unlike the offline path (:class:`~repro.core.experiment.JobRunner`'s
-``_switcher``), which is handed the job's own phase-boundary events,
+Unlike the offline path (the ``_switcher`` behind
+:func:`repro.api.run_job`), which is handed the job's own phase-boundary events,
 this controller learns the boundaries the way a real daemon would —
 from the trace topics the simulation already publishes:
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..core.experiment import JobRunner
 from ..mapreduce.job import JobSpec
 from ..metrics.summary import format_table
 from ..runner import SweepJobRunner, SweepRunner, default_runner
@@ -30,7 +29,7 @@ def run_one_benchmark(
     scale: float = DEFAULT_SCALE,
     seeds: Sequence[int] = (0,),
     pairs: Optional[Sequence[SchedulerPair]] = None,
-    runner: Optional[JobRunner] = None,
+    runner: Optional[SweepJobRunner] = None,
     sweep: Optional[SweepRunner] = None,
 ) -> Dict[SchedulerPair, float]:
     """Mean duration per pair for one benchmark."""

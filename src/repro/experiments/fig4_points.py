@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..core.experiment import JobRunner
 from ..metrics.summary import format_table
 from ..metrics.timeline import ProgressTimeline
 from ..runner import SweepJobRunner, SweepRunner, default_runner
@@ -41,7 +40,7 @@ def run(
     scale: float = DEFAULT_SCALE,
     seeds: Sequence[int] = (0,),
     pairs: Sequence[SchedulerPair] = DEFAULT_POINT_PAIRS,
-    runner: Optional[JobRunner] = None,
+    runner: Optional[SweepJobRunner] = None,
     sweep: Optional[SweepRunner] = None,
 ) -> ExperimentResult:
     if runner is None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..core.experiment import JobRunner
 from ..core.heuristic import ProfiledScores, profile_single_pairs
 from ..metrics.summary import format_table
 from ..runner import SweepJobRunner, SweepRunner, default_runner
@@ -26,7 +25,7 @@ def run(
     scale: float = DEFAULT_SCALE,
     seeds: Sequence[int] = (0,),
     pairs: Optional[Sequence[SchedulerPair]] = None,
-    runner: Optional[JobRunner] = None,
+    runner: Optional[SweepJobRunner] = None,
     sweep: Optional[SweepRunner] = None,
 ) -> ExperimentResult:
     pairs = list(pairs) if pairs is not None else all_pairs()

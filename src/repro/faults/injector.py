@@ -40,13 +40,11 @@ class FaultInjector:
     """Drives a plan's episodes against a cluster for one job run.
 
     Create it *after* the job has started (so the attempt manager
-    exists) but before running the simulation::
+    exists) but before running the simulation — which is what
+    :meth:`repro.api.JobAssembly.start` does::
 
-        job = MapReduceJob(..., fault_plan=plan)
-        proc = job.start()
-        FaultInjector(env, cluster, plan, manager=job.attempts,
-                      trace=trace, stats=job.extra_fault_stats)
-        env.run(until=proc)
+        parts = assemble_job(cluster_config, job_config, fault_plan=plan)
+        env.run(until=parts.start())
 
     Episode counters accumulate in ``stats`` (pass the job's
     ``extra_fault_stats`` to surface them in the result payload).

@@ -168,11 +168,11 @@ class JobContext:
 class MapReduceJob:
     """One job execution over a virtual cluster.
 
-    Usage::
+    Built by :func:`repro.api.assemble_job`::
 
-        job = MapReduceJob(env, cluster, topology, namenode, config)
-        proc = job.start()
-        env.run(until=proc)
+        parts = assemble_job(cluster_config, job_config)
+        proc = parts.start()
+        parts.env.run(until=proc)
         result = proc.value
     """
 

@@ -3,8 +3,8 @@
 The experiment layer describes *what* to simulate as lists of
 :class:`RunSpec`; :class:`SweepRunner` decides *how* — in-process memo,
 on-disk content-addressed cache, or parallel execution across a process
-pool.  :class:`SweepJobRunner`/:class:`SweepChainRunner` adapt the sweep
-to the sequential ``JobRunner`` interface the adaptive machinery uses.
+pool.  :class:`SweepJobRunner`/:class:`SweepChainRunner` are the plan runners
+the adaptive machinery drives one plan at a time.
 """
 
 from .adapter import SweepChainRunner, SweepJobRunner

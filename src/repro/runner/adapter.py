@@ -1,12 +1,14 @@
-"""JobRunner/ChainRunner-compatible facades over a :class:`SweepRunner`.
+"""The plan runners: score phase plans through a :class:`SweepRunner`.
 
 The adaptive machinery (``profile_single_pairs``, ``HeuristicSearch``,
 ``AdaptiveMetaScheduler``) drives a runner one plan at a time — an
-inherently sequential control flow.  These adapters keep that interface
-while routing every underlying simulation through the sweep runner, so
-each evaluation parallelises across seeds, repeats hit the memo/disk
-cache, and a batch of plans can be *prefetched* in one parallel wave
-before the sequential logic reads them back.
+inherently sequential control flow.  :class:`SweepJobRunner` (one job)
+and :class:`SweepChainRunner` (a job chain) are the only
+``run_plan``/``score`` implementations.  Every underlying simulation
+goes through the sweep runner, so each evaluation parallelises across
+seeds, repeats hit the memo/disk cache, and a batch of plans can be
+*prefetched* in one parallel wave before the sequential logic reads
+them back.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class _SweepRunnerBase:
         prefix = f"{self.label} " if self.label else ""
         return f"{prefix}[{solution}] seed={seed}"
 
-    # -- JobRunner-compatible surface -------------------------------------------------
+    # -- the plan-runner surface -----------------------------------------------------
     def run_uniform(self, pair: SchedulerPair):
         return self.run_plan(Solution.uniform(pair, self.config.n_phases))
 
@@ -88,7 +90,7 @@ class _SweepRunnerBase:
 
 
 class SweepJobRunner(_SweepRunnerBase):
-    """Drop-in :class:`~repro.core.experiment.JobRunner` over the sweep."""
+    """Plans over one job: ``job`` specs, one per seed."""
 
     config: TestbedConfig
 
@@ -113,7 +115,7 @@ class SweepJobRunner(_SweepRunnerBase):
 
 
 class SweepChainRunner(_SweepRunnerBase):
-    """Drop-in :class:`~repro.core.chains.ChainRunner` over the sweep."""
+    """Plans over a job chain: ``chain`` specs, one per seed."""
 
     config: ChainConfig
 

@@ -22,28 +22,22 @@ The registered kinds cover every simulation the experiment suite runs:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, Dict, Tuple
 
-from ..api import assemble_cluster, assemble_job
-from ..core.chains import ChainRunner
-from ..core.experiment import JobRunner
+from ..api import assemble_cluster, assemble_job, run_job
+from ..core.chains import run_chain
 from ..core.online import OnlineController, OnlinePolicy
 from ..core.switch_cost import run_dd_once
 from ..ctrl import SIGNAL_TOPICS, OnlineAdaptiveController, make_policy
-from ..faults.injector import FaultInjector
 from ..hdfs.namenode import NameNode
 from ..iosched.anticipatory import AnticipatoryParams, AnticipatoryScheduler
 from ..metrics.slo import percentiles
 from ..net.topology import Topology
 from ..obs import capture
 from ..obs.metrics import TraceMetrics
-from ..mapreduce.jobtracker import MapReduceJob
 from ..mapreduce.multijob import MultiJobTracker
 from ..mapreduce.phases import JobResult, PhaseTimes
-from ..sim.core import Environment
 from ..sim.tracing import TraceBus
-from ..virt.cluster import VirtualCluster
 from ..virt.pair import SchedulerPair
 from ..workloads.arrivals import generate_arrivals
 from ..workloads.sysbench import SysbenchSeqWrite
@@ -99,7 +93,9 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
 # -- job runs (and their payload codec) -----------------------------------------------
 
 
-def encode_job_result(result: JobResult, switch_stall: float) -> Dict[str, Any]:
+def encode_job_result(result: JobResult, switch_stall: float,
+                      faults: bool = False) -> Dict[str, Any]:
+    """The ``job`` payload; ``faults`` adds the attempt/injector ledger."""
     p = result.phases
     payload: Dict[str, Any] = {
         "job_name": result.job_name,
@@ -123,6 +119,9 @@ def encode_job_result(result: JobResult, switch_stall: float) -> Dict[str, Any]:
         # from (and the payload bit-identical for) all-HDD runs.
         payload["storage"] = {k: result.storage[k]
                               for k in sorted(result.storage)}
+    if faults:
+        payload["faults"] = {k: result.fault_stats[k]
+                             for k in sorted(result.fault_stats)}
     return payload
 
 
@@ -164,40 +163,23 @@ def _reset_run_ids() -> None:
     reset_fids()
 
 
-def _trace_factory():
-    """JobRunner-style ``trace_factory`` for the active capture, if any."""
-    bus = capture.current_bus()
-    return (lambda seed: bus) if bus is not None else None
-
-
 @register("job")
-def _run_job(config, seed: int) -> Dict[str, Any]:
-    """config = (TestbedConfig, Solution)."""
-    testbed, solution = config
-    runner = JobRunner(testbed.with_(seeds=(seed,)),
-                       trace_factory=_trace_factory())
-    result, stall = runner.execute_once(solution, seed)
-    return encode_job_result(result, stall)
-
-
 @register("faulty_job")
-def _run_faulty_job(config, seed: int) -> Dict[str, Any]:
-    """config = (TestbedConfig, Solution, FaultPlan).
+def _run_job(config, seed: int) -> Dict[str, Any]:
+    """config = (TestbedConfig, Solution) or (TestbedConfig, Solution, FaultPlan).
 
-    A separate kind (rather than a field on ``job``) so fault-free
-    specs keep their historical cache keys: :func:`~repro.runner.spec.canonical`
-    hashes every config field, and ``job`` configs never mention
-    faults.  The payload is the ``job`` payload plus a ``faults``
-    sub-dict of attempt/injector counters.
+    ``faulty_job`` is a separate kind (rather than a field on ``job``)
+    so fault-free specs keep their historical cache keys:
+    :func:`~repro.runner.spec.canonical` hashes every config field, and
+    ``job`` configs never mention faults.  Its payload is the ``job``
+    payload plus a ``faults`` sub-dict of attempt/injector counters.
     """
-    testbed, solution, plan = config
-    runner = JobRunner(testbed.with_(seeds=(seed,)), fault_plan=plan,
-                       trace_factory=_trace_factory())
-    result, stall = runner.execute_once(solution, seed)
-    payload = encode_job_result(result, stall)
-    payload["faults"] = {k: result.fault_stats[k]
-                         for k in sorted(result.fault_stats)}
-    return payload
+    testbed, solution, *rest = config
+    result, stall = run_job(testbed, solution, seed,
+                            fault_plan=rest[0] if rest else None,
+                            trace=capture.current_bus())
+    # A faulty_job payload carries the ledger even under an inert plan.
+    return encode_job_result(result, stall, faults=bool(rest))
 
 
 @register("controlled_job")
@@ -215,22 +197,12 @@ def _run_controlled_job(config, seed: int) -> Dict[str, Any]:
     """
     testbed, ctrl, fault_plan = config
     bus = capture.current_bus() or TraceBus()
-    env = Environment()
     initial = SchedulerPair.parse(ctrl.initial)
-    cluster = VirtualCluster(
-        env,
-        testbed.cluster.with_(initial_pair=initial, seed=seed),
-        trace=bus,
-    )
-    topology = Topology(env)
-    namenode = NameNode(cluster, block_size=testbed.job.block_size,
-                        replication=testbed.job.replication)
-    job = MapReduceJob(env, cluster, topology, namenode, testbed.job,
-                       trace=bus, fault_plan=fault_plan)
-    proc = job.start()
-    if fault_plan is not None and fault_plan.is_active:
-        FaultInjector(env, cluster, fault_plan, manager=job.attempts,
-                      trace=bus, stats=job.extra_fault_stats)
+    parts = assemble_job(testbed.cluster.with_(initial_pair=initial),
+                         testbed.job, seed=seed, trace=bus,
+                         fault_plan=fault_plan)
+    env, cluster = parts.env, parts.cluster
+    proc = parts.start()
     controller = None
     if ctrl.policy is not None:
         metrics = TraceMetrics()
@@ -250,10 +222,8 @@ def _run_controlled_job(config, seed: int) -> Dict[str, Any]:
     result.storage = cluster.storage_stats()
 
     stall = controller.switch_stall if controller is not None else 0.0
-    payload = encode_job_result(result, stall)
-    if fault_plan is not None:
-        payload["faults"] = {k: result.fault_stats[k]
-                             for k in sorted(result.fault_stats)}
+    payload = encode_job_result(result, stall,
+                                faults=fault_plan is not None)
     if controller is not None:
         controller.policy.learn(result.duration)
         payload["ctrl"] = controller.report()
@@ -353,9 +323,8 @@ def _run_multi_job(config, seed: int) -> Dict[str, Any]:
 def _run_chain(config, seed: int) -> Dict[str, Any]:
     """config = (ChainConfig, Solution)."""
     chain_config, solution = config
-    runner = ChainRunner(replace(chain_config, seeds=(seed,)),
-                         trace=capture.current_bus())
-    duration, phases = runner.execute_once(solution, seed)
+    duration, phases = run_chain(chain_config, solution, seed,
+                                 trace=capture.current_bus())
     return {"duration": duration, "phases": list(phases)}
 
 
@@ -402,7 +371,7 @@ def _run_instrumented_job(config, seed: int) -> Dict[str, Any]:
     parts = assemble_job(cluster_config, job_config, seed=seed,
                          trace=capture.current_bus())
     env, cluster = parts.env, parts.cluster
-    proc = parts.job.start()
+    proc = parts.start()
     env.run(until=proc)
     duration = env.now
     host = cluster.hosts[0]
@@ -428,7 +397,7 @@ def _run_sort_custom(config, seed: int) -> Dict[str, Any]:
             host.disk.scheduler = AnticipatoryScheduler(
                 params=AnticipatoryParams(antic_expire=1e-9, max_think_time=0.0)
             )
-    proc = parts.job.start()
+    proc = parts.start()
     parts.env.run(until=proc)
     return {"duration": proc.value.duration}
 
@@ -441,7 +410,7 @@ def _run_online_sort(config, seed: int) -> Dict[str, Any]:
                          trace=capture.current_bus())
     env = parts.env
     controller = OnlineController(env, parts.cluster, OnlinePolicy())
-    proc = parts.job.start()
+    proc = parts.start()
 
     def stopper():
         yield proc

@@ -3,8 +3,7 @@
 ``SweepRunner.run_specs`` takes a declarative run matrix and returns the
 result payloads in order, sourcing each one from (in priority order):
 
-1. the in-process memo — a spec never simulates twice in one process,
-   mirroring the per-``Solution`` caching ``JobRunner`` always did;
+1. the in-process memo — a spec never simulates twice in one process;
 2. the on-disk cache (unless constructed with ``use_cache=False``);
 3. fresh execution — inline when ``jobs == 1``, otherwise fanned out
    over a ``ProcessPoolExecutor`` (worker count from the ``jobs``

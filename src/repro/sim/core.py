@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
 from .events import KEY_SHIFT, NORMAL, NORMAL_KEY, Event, Timeout
 from .process import Process
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .tracing import TraceBus
 
 __all__ = [
     "Environment",
@@ -54,22 +51,15 @@ class Environment:
     Time is a float in *seconds*.  Events scheduled for the same time
     are ordered by priority then insertion order, which makes runs fully
     deterministic.
-
-    ``trace`` optionally attaches a :class:`~repro.sim.tracing.TraceBus`
-    to the environment at construction, so components built on the same
-    environment can share one bus without post-hoc attribute attachment.
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 trace: Optional["TraceBus"] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         #: Heap of ``(time, priority<<KEY_SHIFT | eid, event)`` entries.
         self._queue: List[Tuple[float, int, Event]] = []
         self._eid = 0
         #: Events processed (heap pops) over this environment's lifetime.
         self.events_processed = 0
-        #: Optional TraceBus shared by components on this environment.
-        self.trace = trace
         if _census is not None:
             _census.append(self)
 

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
 from ..disk.backend import StorageParams, make_device
 from ..disk.cachetier import CacheTier
-from ..disk.geometry import DiskGeometry
-from ..disk.model import DiskParameters
 from ..iosched.base import IOScheduler
 from ..iosched.registry import scheduler_factory
 from ..sim.events import AllOf, Event
@@ -34,11 +30,7 @@ class PhysicalHost:
 
     The device itself is resolved by name through the
     :mod:`repro.disk.backend` registry (``storage=`` + a
-    :class:`~repro.disk.backend.StorageParams` bundle).  The historical
-    ``geometry=``/``disk_params=`` assembly kwargs still work but are
-    deprecated — they fold into the bundle with a
-    :class:`DeprecationWarning`, like the ``repro.experiments.common``
-    re-exports.
+    :class:`~repro.disk.backend.StorageParams` bundle).
     """
 
     def __init__(
@@ -52,24 +44,10 @@ class PhysicalHost:
         rng: Optional[np.random.Generator] = None,
         trace: Optional["TraceBus"] = None,
         switch_control_latency: float = 0.050,
-        geometry: Optional[DiskGeometry] = None,
-        disk_params: Optional[DiskParameters] = None,
     ):
         if max_vms <= 0:
             raise ValueError("max_vms must be positive")
-        if geometry is not None or disk_params is not None:
-            warnings.warn(
-                "the geometry=/disk_params= kwargs of PhysicalHost are "
-                "deprecated; pass storage_params=StorageParams(...) "
-                "(repro.disk.backend) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         params = storage_params or StorageParams()
-        if geometry is not None:
-            params = replace(params, geometry=geometry)
-        if disk_params is not None:
-            params = replace(params, disk_params=disk_params)
         self.env = env
         self.name = name
         self.max_vms = max_vms

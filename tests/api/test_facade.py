@@ -2,12 +2,11 @@
 
 The facade must be a veneer, not a fork: a ``Scenario`` lowers to the
 same :class:`RunSpec` (same cache key), and :func:`simulate` produces
-the same payload, as the hand-wired ``JobRunner``/``execute_spec``
-paths it replaces.
+the same payload, as the :func:`run_job`/``execute_spec`` paths it
+wraps.
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -16,13 +15,13 @@ from repro.api import (
     RunResult,
     Scenario,
     assemble_job,
+    run_job,
     scaled_cluster,
     scaled_job,
     scaled_testbed,
     simulate,
     sweep,
 )
-from repro.core.experiment import JobRunner
 from repro.core.solution import Solution
 from repro.runner.adapter import SweepJobRunner
 from repro.runner.kinds import encode_job_result, execute_spec, _reset_run_ids
@@ -103,10 +102,10 @@ def test_simulate_matches_direct_jobrunner():
     res = simulate(sc, seed=0)
 
     _reset_run_ids()
-    runner = JobRunner(
-        scaled_testbed(SORT, scale=0.05, hosts=2, vms_per_host=2, seeds=(0,))
+    result, stall = run_job(
+        scaled_testbed(SORT, scale=0.05, hosts=2, vms_per_host=2, seeds=(0,)),
+        Solution.uniform(DEFAULT_PAIR, 2), 0,
     )
-    result, stall = runner.execute_once(Solution.uniform(DEFAULT_PAIR, 2), 0)
     assert canon(res.payload) == canon(encode_job_result(result, stall))
     assert res.switch_stall == stall
     assert res.duration == result.duration
@@ -166,46 +165,8 @@ def test_assemble_job_wires_the_full_stack():
     assert parts.job.cluster is parts.cluster
     assert parts.namenode.cluster is parts.cluster
     assert parts.job.namenode is parts.namenode
-    assert parts.env.trace is None
     # The cluster was re-seeded.
     assert parts.cluster.config.seed == 7
-
-
-# -- the deprecated module ------------------------------------------------------------
-
-
-def test_experiments_common_shim_warns():
-    import repro.api as api
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        from repro.experiments.common import scaled_testbed as shimmed
-    assert shimmed is api.scaled_testbed
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-
-def test_experiments_common_shim_forwards_every_moved_name():
-    """Regression: each moved helper resolves via the shim, with a
-    DeprecationWarning per access, until the alias is removed."""
-    import repro.api as api
-    import repro.experiments.common as common
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for name in sorted(common._MOVED):
-            assert getattr(common, name) is getattr(api, name)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == len(common._MOVED)
-    assert all("moved to repro.api" in str(w.message) for w in deprecations)
-    assert set(common._MOVED) <= set(dir(common))
-
-
-def test_experiments_common_shim_unknown_name():
-    import repro.experiments.common as common
-
-    with pytest.raises(AttributeError):
-        common.not_a_real_name
 
 
 def test_package_root_exports_the_facade():

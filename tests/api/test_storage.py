@@ -18,8 +18,6 @@ from repro.api import (
     MultiJobScenario,
     Scenario,
     UnknownStorageError,
-    assemble_cluster,
-    scaled_cluster,
 )
 from repro.faults.plan import DiskFaults, FaultPlan
 from repro.faults.presets import get_preset
@@ -76,7 +74,7 @@ def test_hdd_payloads_bit_identical_to_pre_registry(kind):
     assert scenario.storage == "hdd"
     specs = [scenario.to_spec(seed) for seed in (0, 1, 2)]
     with warnings.catch_warnings():
-        # The internal path must never cross the deprecation shim.
+        # The internal path must not touch anything deprecated.
         warnings.simplefilter("error", DeprecationWarning)
         with SweepRunner(jobs=1, use_cache=False) as runner:
             payloads = runner.run_specs(specs)
@@ -236,29 +234,3 @@ def test_storage_changes_the_cache_key():
     from repro.runner.spec import spec_key
 
     assert spec_key(hdd) != spec_key(ssd)
-
-
-def test_assemble_cluster_storage_override():
-    _env, cluster = assemble_cluster(
-        scaled_cluster(0.05, hosts=2, vms_per_host=2), storage="ssd",
-    )
-    assert all(host.disk.kind == "ssd" for host in cluster.hosts)
-    with pytest.raises(UnknownStorageError):
-        assemble_cluster(scaled_cluster(0.05, hosts=2, vms_per_host=2),
-                         storage="bogus")
-
-
-def test_legacy_geometry_kwargs_warn_but_work():
-    from repro.disk import DiskGeometry
-    from repro.sim import Environment
-    from repro.virt.hypervisor import PhysicalHost
-    from repro.iosched import scheduler_factory
-
-    with pytest.warns(DeprecationWarning):
-        host = PhysicalHost(
-            Environment(), name="h0",
-            vmm_scheduler_factory=scheduler_factory("cfq"),
-            max_vms=1,
-            geometry=DiskGeometry(),
-        )
-    assert host.disk.kind == "hdd"

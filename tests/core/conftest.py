@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import JobRunner, TestbedConfig
+from repro.core import TestbedConfig
 from repro.mapreduce import MB, JobConfig
+from repro.runner import SweepJobRunner, SweepRunner
 from repro.virt import ClusterConfig, PageCacheParams, SchedulerPair
 from repro.workloads import SORT
 
@@ -31,6 +32,11 @@ def tiny_testbed(seeds=(0,), n_phases=2, **job_overrides):
                          n_phases=n_phases)
 
 
+def plan_runner(testbed):
+    """A serial plan runner that memoises in memory only (no disk)."""
+    return SweepJobRunner(testbed, SweepRunner(jobs=1, use_cache=False))
+
+
 @pytest.fixture
 def testbed():
     return tiny_testbed()
@@ -38,7 +44,7 @@ def testbed():
 
 @pytest.fixture
 def runner(testbed):
-    return JobRunner(testbed)
+    return plan_runner(testbed)
 
 
 #: A small pair subset used by search tests (4 plans at P=2 -> 16).

@@ -1,13 +1,13 @@
-"""Tests for the JobRunner harness (plans, caching, switching)."""
+"""Tests for plan execution (plans, caching, switching)."""
 
 import pytest
 
-from repro.core import JobRunner, Solution, TestbedConfig
+from repro.core import Solution, TestbedConfig
 from repro.mapreduce import JobConfig, MB
 from repro.virt import ClusterConfig, SchedulerPair
 from repro.workloads import SORT
 
-from .conftest import tiny_testbed
+from .conftest import plan_runner, tiny_testbed
 
 CC = SchedulerPair("cfq", "cfq")
 AD = SchedulerPair("anticipatory", "deadline")
@@ -15,7 +15,7 @@ DD = SchedulerPair("deadline", "deadline")
 
 
 def test_uniform_run_produces_results_per_seed():
-    runner = JobRunner(tiny_testbed(seeds=(0, 1)))
+    runner = plan_runner(tiny_testbed(seeds=(0, 1)))
     outcome = runner.run_uniform(CC)
     assert len(outcome.results) == 2
     assert outcome.mean_duration > 0
@@ -25,21 +25,21 @@ def test_uniform_run_produces_results_per_seed():
 
 
 def test_runner_caches_identical_plans():
-    runner = JobRunner(tiny_testbed())
+    runner = plan_runner(tiny_testbed())
     runner.run_uniform(CC)
-    n = runner.runs_executed
+    n = runner.sweep.stats.executed
     runner.run_uniform(CC)
-    assert runner.runs_executed == n
+    assert runner.sweep.stats.executed == n == 1
 
 
 def test_score_equals_mean_duration():
-    runner = JobRunner(tiny_testbed())
+    runner = plan_runner(tiny_testbed())
     plan = Solution.uniform(CC, 2)
     assert runner.score(plan) == runner.run_plan(plan).mean_duration
 
 
 def test_plan_with_switch_executes_and_pays_stall():
-    runner = JobRunner(tiny_testbed())
+    runner = plan_runner(tiny_testbed())
     outcome = runner.run_plan(Solution((CC, AD)))
     assert outcome.mean_duration > 0
     # The phase-2 switch stalled the devices for a measurable time.
@@ -47,27 +47,27 @@ def test_plan_with_switch_executes_and_pays_stall():
 
 
 def test_uniform_plan_has_zero_stall():
-    runner = JobRunner(tiny_testbed())
+    runner = plan_runner(tiny_testbed())
     outcome = runner.run_plan(Solution((CC, None)))
     assert all(stall == 0 for stall in outcome.switch_stalls)
 
 
 def test_plan_phase_count_must_match():
-    runner = JobRunner(tiny_testbed(n_phases=2))
+    runner = plan_runner(tiny_testbed(n_phases=2))
     with pytest.raises(ValueError):
         runner.run_plan(Solution((CC, AD, DD)))
 
 
 def test_three_phase_plans_supported():
-    runner = JobRunner(tiny_testbed(n_phases=3))
+    runner = plan_runner(tiny_testbed(n_phases=3))
     outcome = runner.run_plan(Solution((CC, AD, DD)))
     assert outcome.mean_duration > 0
     assert len(outcome.mean_phases) == 3
 
 
 def test_deterministic_same_seed_same_score():
-    r1 = JobRunner(tiny_testbed())
-    r2 = JobRunner(tiny_testbed())
+    r1 = plan_runner(tiny_testbed())
+    r2 = plan_runner(tiny_testbed())
     assert r1.score(Solution.uniform(AD, 2)) == pytest.approx(
         r2.score(Solution.uniform(AD, 2))
     )
@@ -85,20 +85,12 @@ def test_config_validation():
 
 def test_switch_changes_installed_pair():
     """After a planned switch the cluster really runs the new pair."""
-    import repro.core.experiment as exp
-    from repro.hdfs import NameNode
-    from repro.mapreduce import MapReduceJob
-    from repro.net import Topology
-    from repro.sim import Environment
-    from repro.virt import VirtualCluster
+    from repro.api import assemble_job
 
     config = tiny_testbed()
-    env = Environment()
-    cluster = VirtualCluster(env, config.cluster.with_(initial_pair=CC))
-    topology = Topology(env)
-    namenode = NameNode(cluster, block_size=config.job.block_size)
-    job = MapReduceJob(env, cluster, topology, namenode, config.job)
-    proc = job.start()
+    parts = assemble_job(config.cluster.with_(initial_pair=CC), config.job)
+    env, cluster, job = parts.env, parts.cluster, parts.job
+    proc = parts.start()
 
     def switcher():
         yield job.maps_done_event

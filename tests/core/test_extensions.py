@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     ChainConfig,
-    ChainRunner,
     FineGrainedAssignment,
     HeuristicSearch,
     OnlineController,
@@ -17,6 +16,7 @@ from repro.core import (
 from repro.hdfs import NameNode
 from repro.mapreduce import MB, JobConfig, MapReduceJob
 from repro.net import Topology
+from repro.runner import SweepChainRunner, SweepRunner
 from repro.sim import Environment
 from repro.virt import ClusterConfig, PageCacheParams, SchedulerPair, VirtualCluster
 from repro.workloads import SORT, WORDCOUNT
@@ -169,7 +169,7 @@ def chain_runner():
         jobs=(small_job(WORDCOUNT), small_job(SORT)),
         seeds=(0,),
     )
-    return ChainRunner(config)
+    return SweepChainRunner(config, SweepRunner(jobs=1, use_cache=False))
 
 
 def test_chain_has_two_phases_per_job(chain_runner):
@@ -198,9 +198,9 @@ def test_chain_wrong_phase_count_rejected(chain_runner):
 
 def test_chain_caching(chain_runner):
     chain_runner.run_uniform(CC)
-    n = chain_runner.runs_executed
+    n = chain_runner.sweep.stats.executed
     chain_runner.run_uniform(CC)
-    assert chain_runner.runs_executed == n
+    assert chain_runner.sweep.stats.executed == n
 
 
 def test_heuristic_runs_on_chain(chain_runner):

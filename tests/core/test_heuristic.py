@@ -9,7 +9,6 @@ import pytest
 from repro.core import (
     BruteForceSearch,
     HeuristicSearch,
-    JobRunner,
     ProfiledScores,
     Solution,
     enumerate_solutions,
@@ -17,7 +16,7 @@ from repro.core import (
 )
 from repro.virt import SchedulerPair
 
-from .conftest import SEARCH_PAIRS, tiny_testbed
+from .conftest import SEARCH_PAIRS, plan_runner, tiny_testbed
 
 CC, AC, DC, NC = SEARCH_PAIRS
 
@@ -25,7 +24,7 @@ CC, AC, DC, NC = SEARCH_PAIRS
 @pytest.fixture(scope="module")
 def searched():
     """Profile + heuristic + brute force, shared by the module's tests."""
-    runner = JobRunner(tiny_testbed())
+    runner = plan_runner(tiny_testbed())
     scores = profile_single_pairs(runner, SEARCH_PAIRS)
     heuristic = HeuristicSearch(runner, scores, SEARCH_PAIRS).search()
     brute = BruteForceSearch(runner, SEARCH_PAIRS).search()
@@ -102,8 +101,8 @@ def test_history_records_evaluations(searched):
 
 
 def test_phase_count_mismatch_rejected():
-    runner2 = JobRunner(tiny_testbed(n_phases=2))
-    runner3 = JobRunner(tiny_testbed(n_phases=3))
+    runner2 = plan_runner(tiny_testbed(n_phases=2))
+    runner3 = plan_runner(tiny_testbed(n_phases=3))
     scores3 = ProfiledScores(
         totals={CC: 1.0},
         per_phase={CC: (0.4, 0.3, 0.3)},

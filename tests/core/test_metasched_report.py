@@ -60,6 +60,24 @@ def test_meta_scheduler_report_consistent_with_runner():
     )
 
 
+def test_default_runner_is_serial_in_memory_and_matches_sweep(
+        tmp_path, monkeypatch):
+    from repro.runner import SweepJobRunner, SweepRunner
+
+    monkeypatch.chdir(tmp_path)
+    pairs = SEARCH_PAIRS[:2]
+    meta = AdaptiveMetaScheduler(tiny_testbed(), pairs=pairs)
+    assert meta.runner.sweep.jobs == 1
+    rep = meta.report()
+    assert not (tmp_path / ".repro-cache").exists()
+    assert list(tmp_path.iterdir()) == []
+    explicit = SweepJobRunner(tiny_testbed(),
+                              SweepRunner(jobs=1, use_cache=False))
+    assert AdaptiveMetaScheduler(tiny_testbed(), pairs=pairs,
+                                 runner=explicit).report().adaptive_time \
+        == rep.adaptive_time
+
+
 def test_report_includes_default_even_outside_candidates():
     # Candidate set without (CFQ, CFQ): the default baseline must still
     # be measured for the comparison.

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.experiment import JobRunner
 from repro.core.solution import Solution
-from repro.api import scaled_testbed
+from repro.api import run_job, scaled_testbed
 from repro.faults import NO_FAULTS, DiskFaults, FaultPlan, VmFaults, get_preset
 from repro.sim import Environment
 from repro.sim.cpu import ProcessorSharingCPU
@@ -19,8 +18,8 @@ def small_testbed(seed):
 
 
 def run_once(seed, plan):
-    runner = JobRunner(small_testbed(seed), fault_plan=plan)
-    result, _ = runner.execute_once(Solution.uniform(DEFAULT_PAIR, 2), seed)
+    result, _ = run_job(small_testbed(seed), Solution.uniform(DEFAULT_PAIR, 2),
+                        seed, fault_plan=plan)
     return result
 
 

@@ -15,11 +15,13 @@ determinism or bit-identity regression.
 import hashlib
 import json
 
+import pytest
+
 from repro.core.solution import Solution
 from repro.api import scaled_testbed
 from repro.faults import NO_FAULTS
 from repro.runner import RunSpec, SweepRunner
-from repro.virt.pair import DEFAULT_PAIR
+from repro.virt.pair import DEFAULT_PAIR, SchedulerPair
 from repro.workloads.profiles import SORT
 
 #: sha256 of the canonical JSON payload of GOLDEN_SPEC, regenerate via:
@@ -86,6 +88,72 @@ def test_inert_fault_plan_matches_golden_digest():
         [payload] = sweep.run_specs([spec])
     assert payload.pop("faults") == {}
     assert digest(payload) == GOLDEN_DIGEST
+
+
+#: Payload pins for the run kinds and plan shapes the digests above do
+#: not reach: switching ``job`` plans (2- and 3-phase), a switching
+#: chain, the instrumented/knockout/reactive sorts, a controlled job
+#: under hysteresis with faults and co-tenant interference, and a dd
+#: run that switches mid-flight.  All on the 2x2 testbed at scale 0.05.
+PINNED_DIGESTS = {
+    "job_cc_ad":
+        "d0b2f7dc22899b4d634b7dd5f456618b88a85a1242167f23137c839022521730",
+    "job_cc_ad_dd":
+        "2f517a69875c81950adff61d47c0f40552dda83b6d554ce31d0efaf75fa9d54a",
+    "chain_switching":
+        "67a85497e52f65b752fd705d3af3a53ca0a1e7650c2bc5b1f5cd823f30e3a197",
+    "instrumented_job":
+        "069a073f79e03e46b443ff88f26aba931976d7f14534e8ddbc5fd7030f654e92",
+    "sort_custom_zero_anticipation":
+        "41938e06d032e0857f08ebdfda63a9154b0aa93e027a887077a0ddc757672ee2",
+    "online_sort":
+        "e0825ba863c4a5c6d694149f3dfe6acb7804cd81de433b33a2a492fa1ba768c2",
+    "controlled_job_hysteresis_light_interference":
+        "bb560313b95bc5c859884561e9dd06b991d467e9487112838d1ead6326306dad",
+    "dd_mid_run_switch":
+        "c1a41eb2e2addbec8773c8c1ba0c6b3c1c9bab1e4b4fdb3bcc021a0231203b03",
+}
+
+
+def pinned_spec(name):
+    from repro.core.chains import ChainConfig
+    from repro.ctrl import CtrlConfig
+    from repro.faults import get_preset
+
+    testbed, _ = golden_config()
+    cluster, job = testbed.cluster, testbed.job
+    cc, ac, ad, dd = (SchedulerPair.parse(s) for s in ("cc", "ac", "ad", "dd"))
+    configs = {
+        "job_cc_ad": ("job", (testbed, Solution((cc, ad)))),
+        "job_cc_ad_dd": ("job", (testbed.with_(n_phases=3),
+                                 Solution((cc, ad, dd)))),
+        "chain_switching": ("chain", (
+            ChainConfig(cluster=cluster, jobs=(job, job), seeds=(0,)),
+            Solution((cc, ad, None, dd)),
+        )),
+        "instrumented_job": ("instrumented_job",
+                             (cluster.with_(initial_pair=ac), job)),
+        "sort_custom_zero_anticipation": (
+            "sort_custom", (cluster.with_(initial_pair=ac), job, True)),
+        "online_sort": ("online_sort", (cluster, job)),
+        "controlled_job_hysteresis_light_interference": ("controlled_job", (
+            testbed,
+            CtrlConfig(policy="hysteresis", phase_pairs=("cc", "ad"),
+                       interference_bytes=16 * 1024 * 1024),
+            get_preset("light"),
+        )),
+        "dd_mid_run_switch": ("dd", (cluster.with_(hosts=1), 8 * 1024 * 1024,
+                                     cc, ad, 0.1)),
+    }
+    kind, config = configs[name]
+    return RunSpec(kind=kind, seed=0, config=config, label=f"pin {name}")
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_pinned_run_kinds_match_golden_digests(name):
+    with SweepRunner(jobs=1, use_cache=False) as sweep:
+        [payload] = sweep.run_specs([pinned_spec(name)])
+    assert digest(payload) == PINNED_DIGESTS[name], name
 
 
 def test_digest_is_sensitive_to_the_payload():

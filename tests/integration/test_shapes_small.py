@@ -12,17 +12,22 @@ extents (it did when partition extents became exact in v1.3.0), while
 
 import pytest
 
-from repro.core import JobRunner
 from repro.api import scaled_testbed
+from repro.runner import SweepJobRunner, SweepRunner
 from repro.virt import SchedulerPair
 from repro.workloads import SORT
 
 PAIRS = {name: SchedulerPair.parse(name) for name in ("cc", "ac", "dc", "nc")}
 
 
+def sort_runner():
+    return SweepJobRunner(scaled_testbed(SORT, scale=0.15, seeds=(0,)),
+                          SweepRunner(jobs=1, use_cache=False))
+
+
 @pytest.fixture(scope="module")
 def sort_durations():
-    runner = JobRunner(scaled_testbed(SORT, scale=0.15, seeds=(0,)))
+    runner = sort_runner()
     return {
         name: runner.run_uniform(pair).mean_duration
         for name, pair in PAIRS.items()
@@ -52,7 +57,7 @@ def test_spread_is_meaningful(sort_durations):
 def test_multi_pair_plan_at_least_matches_best_single(sort_durations):
     from repro.core import Solution
 
-    runner = JobRunner(scaled_testbed(SORT, scale=0.15, seeds=(0,)))
+    runner = sort_runner()
     best_name = min(sort_durations, key=sort_durations.get)
     mixed = Solution.of([PAIRS["cc"], PAIRS[best_name]])
     if mixed.n_switches == 0:

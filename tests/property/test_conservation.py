@@ -18,9 +18,8 @@ from collections import defaultdict
 
 import pytest
 
-from repro.core.experiment import JobRunner
 from repro.core.solution import Solution
-from repro.api import scaled_testbed
+from repro.api import run_job, scaled_testbed
 from repro.faults import (
     DiskFaults,
     FaultPlan,
@@ -57,25 +56,16 @@ def traced_run(seed, plan_name):
     """One (memoised) instrumented run: ``(JobResult, TraceBus)``."""
     key = (seed, plan_name)
     if key not in _RUNS:
-        buses = []
-
-        def factory(s):
-            bus = TraceBus()
-            for topic in ("fs.read", "fs.write", "disk.submit",
-                          "disk.complete"):
-                bus.record_topic(topic)
-            buses.append(bus)
-            return bus
-
-        runner = JobRunner(
+        bus = TraceBus()
+        for topic in ("fs.read", "fs.write", "disk.submit", "disk.complete"):
+            bus.record_topic(topic)
+        result, _ = run_job(
             scaled_testbed(SORT, scale=0.02, hosts=2, vms_per_host=2,
                            seeds=(seed,)),
-            trace_factory=factory,
-            fault_plan=PLANS[plan_name],
+            Solution.uniform(DEFAULT_PAIR, 2), seed,
+            fault_plan=PLANS[plan_name], trace=bus,
         )
-        result, _ = runner.execute_once(Solution.uniform(DEFAULT_PAIR, 2),
-                                        seed)
-        _RUNS[key] = (result, buses[0])
+        _RUNS[key] = (result, bus)
     return _RUNS[key]
 
 

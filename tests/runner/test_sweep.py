@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.core.experiment import JobRunner
-from repro.api import scaled_cluster, scaled_testbed
+from repro.api import run_job, scaled_cluster, scaled_testbed
+from repro.core.solution import Solution
 from repro.runner import (
     ResultCache,
     RunSpec,
@@ -147,14 +147,12 @@ def test_stats_snapshot_and_since(tmp_path):
 
 def test_adapter_matches_direct_job_runner_exactly(tmp_path):
     config = scaled_testbed(SORT, scale=0.02, seeds=(0,))
-    direct = JobRunner(config).run_uniform(DEFAULT_PAIR)
+    direct, stall = run_job(config, Solution.uniform(DEFAULT_PAIR, 2), 0)
     with SweepRunner(jobs=1, cache_dir=tmp_path) as sweep:
         adapted = SweepJobRunner(config, sweep).run_uniform(DEFAULT_PAIR)
-    assert adapted.mean_duration == direct.mean_duration
-    assert adapted.mean_phases == direct.mean_phases
-    assert [r.phases for r in adapted.results] == [
-        r.phases for r in direct.results
-    ]
+    assert adapted.mean_duration == direct.duration
+    assert [r.phases for r in adapted.results] == [direct.phases]
+    assert adapted.switch_stalls == [stall]
 
 
 def test_default_jobs_env_override(monkeypatch):
