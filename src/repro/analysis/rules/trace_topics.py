@@ -1,10 +1,10 @@
 """TRACE001: trace-topic literals vs the registry, both directions.
 
 Every string-literal topic handed to ``TraceBus.publish`` /
-``record_topic`` / ``subscribe`` must name a topic registered in
-``repro.obs.topics`` (globs must match at least one), and every
-registered topic must have at least one publish site — otherwise the
-registry entry is dead and the metrics bridge subscribes to silence.
+``record_topic`` must name a topic registered in ``repro.obs.topics``
+(globs must match at least one), and every registered topic must have
+at least one publish site — otherwise the registry entry is dead and
+the metrics bridge folds silence.
 
 The registry is read from the *scanned tree's* AST (the ``TopicSpec``
 calls in the module whose dotted name ends ``obs.topics``), never
@@ -20,9 +20,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..core import Finding, ModuleInfo, Project, Rule, register_rule
 
 __all__ = ["TraceTopicRule"]
-
-#: Method names that *consume* a topic as their first string argument.
-_TOPIC_SINKS = ("record_topic", "subscribe")
 
 
 def _registry(project: Project) -> Optional[Tuple[ModuleInfo, Dict[str, int]]]:
@@ -84,7 +81,7 @@ class TraceTopicRule(Rule):
                 found = _literal_topic(node, 1)  # publish(time, topic, **p)
                 if found:
                     yield "publish", found[0], found[1]
-            elif attr in _TOPIC_SINKS:
+            elif attr == "record_topic":  # record_topic(topic)
                 found = _literal_topic(node, 0)
                 if found:
                     yield attr, found[0], found[1]

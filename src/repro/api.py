@@ -19,8 +19,9 @@ a run comes from here, from ``repro.experiments``, or from the CLI.
 
 Below the facade sit the calibrated-testbed helpers (``scaled_testbed``
 and friends) and the one construction path every single-job run takes:
-:func:`assemble_job` builds the stack and :func:`run_job` runs a phase
-plan on it.
+:func:`assemble_job` builds the stack, :func:`run_controlled_job` runs
+one job on it under a :class:`~repro.ctrl.config.CtrlConfig`, and
+:func:`run_job` lowers a phase plan to that config.
 
 Quickstart::
 
@@ -41,7 +42,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from .core.experiment import TestbedConfig
 from .core.solution import Solution
 from .ctrl.config import CtrlConfig
-from .ctrl.policies import resolve_policy
+from .ctrl.controller import OnlineAdaptiveController
+from .ctrl.oracle import plan_labels
+from .ctrl.policies import make_policy
 from .disk.backend import UnknownStorageError, resolve_storage
 from .faults.injector import FaultInjector
 from .faults.plan import FaultPlan
@@ -58,6 +61,7 @@ from .virt.pagecache import PageCacheParams
 from .virt.pair import DEFAULT_PAIR, SchedulerPair
 from .workloads import benchmark
 from .workloads.arrivals import DEFAULT_SIZE_MIX, ArrivalConfig, SizeClass
+from .workloads.sysbench import SysbenchSeqWrite
 
 __all__ = [
     "ControlledScenario",
@@ -71,6 +75,7 @@ __all__ = [
     "assemble_cluster",
     "assemble_job",
     "default_seeds",
+    "run_controlled_job",
     "run_job",
     "scaled_cluster",
     "scaled_job",
@@ -286,6 +291,43 @@ def assemble_job(
                        namenode=namenode, job=job)
 
 
+def run_controlled_job(
+    testbed: TestbedConfig,
+    ctrl: CtrlConfig,
+    seed: int,
+    *,
+    fault_plan: Optional[FaultPlan] = None,
+    trace=None,
+) -> Tuple[JobResult, Optional[OnlineAdaptiveController]]:
+    """One uncached simulated job run: ``(result, controller | None)``.
+
+    The cluster starts on ``ctrl.initial``; with a policy configured, an
+    :class:`~repro.ctrl.controller.OnlineAdaptiveController` switches
+    pairs at the job's phase boundaries.  ``ctrl.interference_bytes``
+    adds a co-tenant write stream that may outlive the job.
+    """
+    parts = assemble_job(
+        testbed.cluster.with_(initial_pair=SchedulerPair.parse(ctrl.initial)),
+        testbed.job, seed=seed, trace=trace, fault_plan=fault_plan,
+    )
+    env, cluster = parts.env, parts.cluster
+    proc = parts.start()
+    controller = None
+    if ctrl.policy is not None:
+        policy = make_policy(ctrl, rng=cluster.rng.stream("ctrl.bandit"))
+        controller = OnlineAdaptiveController(parts.job, policy, ctrl,
+                                              n_phases=testbed.n_phases)
+    if ctrl.interference_bytes > 0:
+        SysbenchSeqWrite(env, cluster,
+                         total_bytes=ctrl.interference_bytes).start()
+    env.run(until=proc)
+    result: JobResult = proc.value
+    # Backend counters ride on the result; all-HDD clusters report
+    # nothing, so their payloads stay bit-identical.
+    result.storage = cluster.storage_stats()
+    return result, controller
+
+
 def run_job(
     testbed: TestbedConfig,
     solution: Solution,
@@ -296,43 +338,20 @@ def run_job(
 ) -> Tuple[JobResult, float]:
     """One uncached simulated run of a phase plan: ``(result, stall)``.
 
-    The cluster starts on the plan's first pair; the remaining
-    assignments fire at the phase boundaries, and ``stall`` is the
-    simulated time spent inside those switches.
+    The cluster starts on the plan's first pair.  A switching plan runs
+    under the greedy controller, which switches to each later phase's
+    pair at its boundary; ``stall`` is the simulated time spent inside
+    those switches.
     """
-    parts = assemble_job(
-        testbed.cluster.with_(initial_pair=solution.assignments[0]),
-        testbed.job, seed=seed, trace=trace, fault_plan=fault_plan,
-    )
-    env, cluster, job = parts.env, parts.cluster, parts.job
-    proc = parts.start()
-
-    stall_total = [0.0]
-    if solution.n_switches > 0:
-        env.process(_switcher(env, cluster, job, solution, testbed.n_phases,
-                              stall_total))
-
-    env.run(until=proc)
-    result: JobResult = proc.value
-    # Backend counters ride on the result; all-HDD clusters report
-    # nothing, so their payloads stay bit-identical.
-    result.storage = cluster.storage_stats()
-    return result, stall_total[0]
-
-
-def _switcher(env, cluster, job: MapReduceJob, solution: Solution,
-              n_phases: int, stall_total):
-    """Fires the plan's switches at the phase boundaries."""
-    boundaries = [job.maps_done_event]
-    if n_phases == 3:
-        boundaries.append(job.shuffle_done_event)
-    for boundary, assignment in zip(boundaries, solution.assignments[1:]):
-        yield boundary
-        if assignment is None:
-            continue
-        start = env.now
-        yield cluster.set_pair(assignment)
-        stall_total[0] += env.now - start
+    labels = plan_labels(solution)
+    if solution.is_uniform:
+        ctrl = CtrlConfig(initial=labels[0])
+    else:
+        ctrl = CtrlConfig(policy="greedy", initial=labels[0],
+                          phase_pairs=labels)
+    result, controller = run_controlled_job(
+        testbed, ctrl, seed, fault_plan=fault_plan, trace=trace)
+    return result, controller.switch_stall if controller is not None else 0.0
 
 
 # -- the scenario builder ------------------------------------------------------------
@@ -616,14 +635,12 @@ class ControlledScenario:
     def __post_init__(self) -> None:
         validate_scale(self.scale)
         _validate_storage(self.storage, self.storage_overrides)
-        if self.controller is not None:
-            resolve_policy(self.controller)
         if self.phase_pairs and len(self.phase_pairs) != self.n_phases:
             raise ValueError(
                 f"phase_pairs has {len(self.phase_pairs)} entries, "
                 f"scenario expects {self.n_phases}"
             )
-        self.ctrl_config()  # validates labels and knob ranges
+        self.ctrl_config()  # validates the policy, labels and knob ranges
 
     def with_(self, **changes) -> "ControlledScenario":
         return replace(self, **changes)

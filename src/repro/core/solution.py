@@ -2,9 +2,11 @@
 
 A solution assigns one pair per phase; ``None`` in a slot is the
 paper's ``0`` — *no switch*, keep whatever the previous phase used.
-The distinction matters because re-installing even the same pair drains
-the queues and pays real cost (paper §IV-B), so the heuristic encodes
-"same pair" as "don't touch the elevator".
+Re-installing even the same pair would drain the queues and pay real
+cost (paper §IV-B), and the greedy controller that executes every plan
+(:func:`repro.api.run_job`) holds instead; so "same pair" has exactly
+one spelling, ``None``, and a concrete slot repeating the installed
+pair is rejected.
 """
 
 from __future__ import annotations
@@ -28,6 +30,14 @@ class Solution:
             raise ValueError("a solution needs at least one phase")
         if self.assignments[0] is None:
             raise ValueError("phase 1 must name a concrete pair")
+        installed = self.assignments[0]
+        for phase, assignment in enumerate(self.assignments[1:], start=2):
+            if assignment == installed:
+                raise ValueError(
+                    f"phase {phase} re-assigns the installed pair "
+                    f"{assignment}; write None for no switch")
+            if assignment is not None:
+                installed = assignment
 
     def __str__(self) -> str:
         parts = ["0" if a is None else str(a) for a in self.assignments]

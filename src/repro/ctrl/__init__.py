@@ -2,15 +2,18 @@
 
 The offline pipeline (Algorithm 1) picks a per-phase scheduler plan
 from pre-measured tables; this package closes the loop online: a
-controller subscribes to live trace topics, detects phase boundaries
-itself, and issues switches through the same per-VM/elevator machinery,
-charging the measured state-dependent switch cost.  Policies live
-behind a ``@register_policy`` registry; the regret oracle defines what
-"good" means and doubles as the test harness in ``tests/ctrl``.
+controller waits on the running job's phase boundaries, reads the
+devices' queue depths, and issues switches through the same
+per-VM/elevator machinery, charging the measured state-dependent switch
+cost.  Every switching phase plan runs through it:
+:func:`repro.api.run_job` lowers such a plan to the greedy policy.
+Policies live behind a ``@register_policy`` registry; the regret oracle
+defines what "good" means and doubles as the test harness in
+``tests/ctrl``.
 """
 
 from .config import DEFAULT_ARMS, CtrlConfig
-from .controller import BOUNDARY_NAMES, SIGNAL_TOPICS, OnlineAdaptiveController
+from .controller import BOUNDARY_NAMES, OnlineAdaptiveController
 from .oracle import (
     OracleResult,
     build_oracle,
@@ -46,7 +49,6 @@ __all__ = [
     "OnlineAdaptiveController",
     "OracleResult",
     "POLICIES",
-    "SIGNAL_TOPICS",
     "build_oracle",
     "enumerate_static_plans",
     "make_policy",

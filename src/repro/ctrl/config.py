@@ -43,8 +43,9 @@ class CtrlConfig:
     policy: Optional[str] = None
     #: Pair installed at job start, as a two-letter label.
     initial: str = "cc"
-    #: Target pair label per phase (index 0 = the map phase).  Greedy
-    #: and hysteresis follow this plan; the bandit ignores it.
+    #: Target pair label per phase (index 0 = the map phase, which must
+    #: equal ``initial``).  Greedy and hysteresis follow this plan and
+    #: require it; the bandit ignores it.
     phase_pairs: Tuple[str, ...] = ()
     #: Seconds to keep observing after a detected boundary before
     #: deciding (hysteresis dwell; 0 = decide at the boundary).
@@ -84,6 +85,12 @@ class CtrlConfig:
             _check_label(p, "phase_pairs") for p in self.phase_pairs))
         object.__setattr__(self, "arms", tuple(
             _check_label(a, "arms") for a in self.arms))
+        if self.policy in ("greedy", "hysteresis") and \
+                self.phase_pairs[:1] != (self.initial,):
+            raise ValueError(
+                f"{self.policy} needs phase_pairs starting with the map "
+                f"phase's pair initial={self.initial!r}, got "
+                f"{self.phase_pairs!r}")
         if self.dwell < 0:
             raise ValueError(f"dwell must be >= 0, got {self.dwell}")
         if self.cost_factor < 0:

@@ -1,24 +1,20 @@
-"""The online adaptive controller: live signals → boundaries → switches.
+"""The online adaptive controller: job boundaries → decisions → switches.
 
-Unlike the offline path (the ``_switcher`` behind
-:func:`repro.api.run_job`), which is handed the job's own phase-boundary events,
-this controller learns the boundaries the way a real daemon would —
-from the trace topics the simulation already publishes:
+The controller reads the simulation the way a daemon reads Hadoop's job
+progress and the block layer's queue counters:
 
-* ``job.map_finished`` — map progress; ``done == total`` marks the
-  map→tail boundary (published *before* the job's internal
-  ``maps_done_event`` fires, so detection lands at the same simulated
-  instant as the oracle event);
-* ``shuffle.fetch`` — live shuffle residual; ``remaining == 0`` marks
-  the shuffle→reduce boundary on three-phase plans;
-* ``disk.submit``/``disk.complete`` — folded into per-device
-  queue-depth gauges by :class:`~repro.obs.metrics.TraceMetrics`, the
-  state the switch-cost estimate reads.
+* boundaries are the started job's ``maps_done_event`` (map → tail) and,
+  on three-phase plans, ``shuffle_done_event`` (shuffle → reduce).  A
+  detection records the event's value, the instant the boundary fired,
+  even when the controller wakes later (a shuffle boundary can fire
+  while the first switch is still draining);
+* queue depth sums every host disk's and VM vdisk's unfinished-request
+  count, the state the switch-cost estimate reads (paper Fig. 5).
 
-Trace subscription is schedule-neutral (no simulated time, no RNG), so
-attaching the controller without ever switching leaves the job's
-payload bit-identical to an uncontrolled run — the anchor property of
-``tests/ctrl``.
+Neither read costs simulated time or draws randomness, so a controller
+that never switches leaves the payload bit-identical to an uncontrolled
+run — the anchor property of ``tests/ctrl``.  With a trace bus attached
+the controller publishes ``ctrl.*`` records; it never reads the bus.
 """
 
 from __future__ import annotations
@@ -30,43 +26,34 @@ from .config import CtrlConfig
 from .policies import ControllerPolicy, Observation
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..obs.metrics import MetricsRegistry
-    from ..sim.core import Environment
-    from ..sim.tracing import TraceBus, TraceRecord
-    from ..virt.cluster import VirtualCluster
+    from ..mapreduce.jobtracker import MapReduceJob
 
-__all__ = ["OnlineAdaptiveController", "BOUNDARY_NAMES", "SIGNAL_TOPICS"]
+__all__ = ["OnlineAdaptiveController", "BOUNDARY_NAMES"]
 
 #: Boundary names in firing order (index = phase the boundary opens - 1).
 BOUNDARY_NAMES = ("maps_done", "shuffle_done")
 
-#: Topics the controller's metrics bridge must fold (queue depth).
-SIGNAL_TOPICS = ("disk.submit", "disk.complete")
-
 
 class OnlineAdaptiveController:
-    """Detects phase boundaries from the trace bus and switches pairs.
+    """Waits on a started job's phase boundaries and switches pairs.
 
-    One controller serves one single-job run.  Construction subscribes
-    the boundary detectors and launches the decision process; after
-    ``env.run`` completes, :meth:`report` returns the JSON-able record
-    of everything the controller saw and did.
+    One controller serves one single-job run.  Construct it after
+    ``job.start()`` (the boundary events exist from then on); it
+    launches its decision process at once.  After ``env.run`` completes,
+    :meth:`report` returns the JSON-able record of everything the
+    controller saw and did.
     """
 
     def __init__(
         self,
-        env: "Environment",
-        cluster: "VirtualCluster",
-        bus: "TraceBus",
-        registry: "MetricsRegistry",
+        job: "MapReduceJob",
         policy: ControllerPolicy,
         config: CtrlConfig,
         n_phases: int = 2,
     ):
-        self.env = env
-        self.cluster = cluster
-        self.bus = bus
-        self.registry = registry
+        self.env = job.env
+        self.cluster = job.cluster
+        self.bus = job.trace
         self.policy = policy
         self.config = config
         self.n_phases = n_phases
@@ -77,42 +64,16 @@ class OnlineAdaptiveController:
         #: Effective pair label per phase, grown as phases open.
         self.plan: List[str] = [config.initial]
         self._current = config.initial
-        self._boundaries = [env.event() for _ in range(n_phases - 1)]
-        bus.subscribe("job.map_finished", self._on_map_finished)
-        if n_phases >= 3:
-            bus.subscribe("shuffle.fetch", self._on_shuffle_fetch)
-        self._proc = env.process(self._run())
-
-    # -- live signal handlers -----------------------------------------------------
-    def _on_map_finished(self, record: "TraceRecord") -> None:
-        p = record.payload
-        if p.get("total") and p.get("done", 0) >= p["total"]:
-            self._boundary(0, record.time)
-
-    def _on_shuffle_fetch(self, record: "TraceRecord") -> None:
-        if record.payload.get("remaining") == 0:
-            self._boundary(1, record.time)
-
-    def _boundary(self, index: int, time: float) -> None:
-        if index >= len(self._boundaries):
-            return
-        event = self._boundaries[index]
-        if event.triggered:
-            return
-        self.detections.append({
-            "boundary": BOUNDARY_NAMES[index],
-            "phase": index + 1,
-            "time": time,
-        })
-        self.bus.publish(time, "ctrl.phase",
-                         boundary=BOUNDARY_NAMES[index], phase=index + 1)
-        event.succeed(time)
+        self._boundaries = [job.maps_done_event,
+                            job.shuffle_done_event][:n_phases - 1]
+        self._proc = self.env.process(self._run())
 
     # -- state reads --------------------------------------------------------------
     def queue_depth(self) -> float:
-        """Outstanding requests summed over every physical disk queue."""
-        gauges = self.registry.gauges("disk.queue_depth")
-        return float(sum(g.value for g in gauges.values()))
+        """Unfinished requests summed over every host disk and VM vdisk."""
+        cluster = self.cluster
+        return float(sum(host.disk.unfinished for host in cluster.hosts)
+                     + sum(vm.vdisk.unfinished for vm in cluster.vms))
 
     def estimate_switch_cost(self) -> float:
         """Cost of switching *now*: control latency + queue drain.
@@ -126,11 +87,20 @@ class OnlineAdaptiveController:
 
     # -- the decision loop --------------------------------------------------------
     def _run(self):
-        for index in range(self.n_phases - 1):
-            yield self._boundaries[index]
+        bus = self.bus
+        for index, boundary in enumerate(self._boundaries):
+            fired_at = yield boundary
+            phase = index + 1
+            self.detections.append({
+                "boundary": BOUNDARY_NAMES[index],
+                "phase": phase,
+                "time": fired_at,
+            })
+            if bus is not None:
+                bus.publish(fired_at, "ctrl.phase",
+                            boundary=BOUNDARY_NAMES[index], phase=phase)
             if self.config.dwell > 0:
                 yield self.env.timeout(self.config.dwell)
-            phase = index + 1
             obs = Observation(
                 time=self.env.now,
                 phase=phase,
@@ -149,11 +119,12 @@ class OnlineAdaptiveController:
                 "est_cost": decision.est_cost,
                 "explore": decision.explore,
             })
-            self.bus.publish(self.env.now, "ctrl.decision",
-                             policy=self.policy.name, phase=phase,
-                             target=decision.target,
-                             est_cost=decision.est_cost,
-                             explore=decision.explore)
+            if bus is not None:
+                bus.publish(self.env.now, "ctrl.decision",
+                            policy=self.policy.name, phase=phase,
+                            target=decision.target,
+                            est_cost=decision.est_cost,
+                            explore=decision.explore)
             if decision.target is not None and decision.target != self._current:
                 pair = SchedulerPair.parse(decision.target)
                 start = self.env.now
@@ -167,8 +138,9 @@ class OnlineAdaptiveController:
                     "time": start,
                     "stall": stall,
                 })
-                self.bus.publish(self.env.now, "ctrl.switch", phase=phase,
-                                 pair=decision.target, stall=stall)
+                if bus is not None:
+                    bus.publish(self.env.now, "ctrl.switch", phase=phase,
+                                pair=decision.target, stall=stall)
             self.plan.append(self._current)
 
     def report(self) -> Dict[str, Any]:

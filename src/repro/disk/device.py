@@ -81,6 +81,9 @@ class ElevatorQueue(abc.ABC):
         self._switching = False
         self._switch_waiters: List[Event] = []
         self.switch_count = 0
+        #: Requests submitted and not yet completed, merged ones included
+        #: (the queue depth the online controller prices a switch by).
+        self.unfinished = 0
         #: True while dispatch is administratively frozen (VM pause).
         self._paused = False
 
@@ -135,6 +138,7 @@ class ElevatorQueue(abc.ABC):
                 self._drain_fifo.append(request)
         else:
             self.scheduler.add_request(request, now)
+        self.unfinished += 1
         if self.trace is not None:
             self.trace.publish(
                 now,
@@ -320,6 +324,7 @@ class ElevatorQueue(abc.ABC):
         request.complete_time = now
         if not self._switching:
             self.scheduler.on_complete(request, now)
+        self.unfinished -= len(request.all_rids()) if request.merged_children else 1
         if self.trace is not None:
             self.trace.publish(
                 now,

@@ -2,8 +2,8 @@
 
 Not a figure from the paper: the paper's Algorithm 1 is offline (it
 picks a plan from pre-measured tables).  This experiment closes the
-loop — the :mod:`repro.ctrl` controller detects phase boundaries from
-live trace topics and switches schedulers mid-job — and scores each
+loop — the :mod:`repro.ctrl` controller waits on the job's phase
+boundaries and switches schedulers mid-job — and scores each
 policy by *regret* against exhaustive plan enumeration under three
 conditions: fault-free, fault-injected, and with a background
 co-tenant write stream (multi-job interference).

@@ -5,8 +5,9 @@ wall clock, no host state — so two runs of the same seed produce
 byte-identical snapshots.  :class:`TraceMetrics` is the bridge from the
 trace bus: it knows the repo's topic taxonomy (DESIGN.md
 "Observability") and folds each record into a :class:`MetricsRegistry`,
-either live (subscribed to a :class:`~repro.sim.tracing.TraceBus`) or
-offline (replaying records loaded from a JSONL trace file).
+either live (its :meth:`~TraceMetrics.handle` added as a sink of a
+recording :class:`~repro.sim.tracing.TraceBus`) or offline (replaying
+records loaded from a JSONL trace file).
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..sim.tracing import TraceBus, TraceRecord
-from .topics import TOPIC_NAMES
+from ..sim.tracing import TraceRecord
 
 __all__ = [
     "Counter",
@@ -151,13 +151,6 @@ class MetricsRegistry:
             hist = self._histograms[key] = Histogram(buckets)
         return hist
 
-    def gauges(self, prefix: str) -> Dict[str, Gauge]:
-        """Live gauges whose rendered key starts with ``prefix``, keyed
-        by rendered name, in sorted order.  This is the read path the
-        online controller uses (summing ``disk.queue_depth{...}``)."""
-        return {key: self._gauges[key]
-                for key in sorted(self._gauges) if key.startswith(prefix)}
-
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-able, deterministically ordered dump of every metric."""
         return {
@@ -200,10 +193,11 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
 class TraceMetrics:
     """Populates a :class:`MetricsRegistry` from the trace-topic taxonomy.
 
-    Live use (during a simulation)::
+    Live use (during a simulation; the fold sees exactly the records
+    the bus's ``record_topic`` filter keeps)::
 
         tm = TraceMetrics()
-        tm.attach(bus)          # subscribes to the topics it understands
+        bus.add_sink(tm.handle)
         ... run the simulation ...
         snapshot = tm.registry.snapshot()
 
@@ -213,33 +207,12 @@ class TraceMetrics:
         tm.replay(records)
     """
 
-    #: Topics this bridge understands: the full registry from
-    #: :mod:`repro.obs.topics` (disk/fs topics carry per-device/per-VM
-    #: labels in their payloads).
-    TOPICS = TOPIC_NAMES
-
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry or MetricsRegistry()
         #: Submit time per (device, rid), for dispatch-latency histograms.
         self._pending: Dict[Tuple[str, int], float] = {}
 
     # -- wiring -------------------------------------------------------------------
-    def attach(self, bus: TraceBus,
-               topics: Optional[Iterable[str]] = None) -> None:
-        """Subscribe to ``topics`` (default: every registered topic).
-
-        Passing a subset keeps hot-path publishes cheap when only a few
-        signals matter — e.g. the online controller folds just
-        ``disk.submit``/``disk.complete`` for queue depths.
-        """
-        for topic in (self.TOPICS if topics is None else topics):
-            bus.subscribe(topic, self.handle)
-
-    def detach(self, bus: TraceBus,
-               topics: Optional[Iterable[str]] = None) -> None:
-        for topic in (self.TOPICS if topics is None else topics):
-            bus.unsubscribe(topic, self.handle)
-
     def replay(self, records: Iterable[TraceRecord]) -> "TraceMetrics":
         for record in records:
             self.handle(record)

@@ -1,8 +1,8 @@
 """The machine-readable registry of every trace topic the simulator emits.
 
 Single source of truth for the repo's topic taxonomy: the metrics
-bridge (:class:`repro.obs.metrics.TraceMetrics`) subscribes to exactly
-these names, ``repro lint``'s TRACE001 rule checks every
+bridge (:class:`repro.obs.metrics.TraceMetrics`) folds exactly these
+names, ``repro lint``'s TRACE001 rule checks every
 ``TraceBus.publish``/``record_topic`` string literal against this set
 (and flags registry entries nobody publishes as dead), and DESIGN.md's
 "Observability" section documents the same list.
@@ -80,7 +80,7 @@ TOPICS: Tuple[TopicSpec, ...] = (
               "``remaining``)", span="task"),
     # -- online adaptive control (repro.ctrl) ---------------------------------
     TopicSpec("ctrl.phase",
-              "controller detected a phase boundary from live signals"),
+              "controller detected a job phase boundary (at its firing time)"),
     TopicSpec("ctrl.decision",
               "controller policy decided to switch or hold at a boundary"),
     TopicSpec("ctrl.switch",
@@ -106,7 +106,7 @@ TOPICS: Tuple[TopicSpec, ...] = (
               span="fault"),
 )
 
-#: Topic names in registry order (what ``TraceMetrics`` subscribes to).
+#: Topic names in registry order.
 TOPIC_NAMES: Tuple[str, ...] = tuple(spec.name for spec in TOPICS)
 
 #: The set form, for membership tests.

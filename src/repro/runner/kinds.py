@@ -24,21 +24,17 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Tuple
 
-from ..api import assemble_cluster, assemble_job, run_job
+from ..api import assemble_cluster, assemble_job, run_controlled_job, run_job
 from ..core.chains import run_chain
 from ..core.online import OnlineController, OnlinePolicy
 from ..core.switch_cost import run_dd_once
-from ..ctrl import SIGNAL_TOPICS, OnlineAdaptiveController, make_policy
 from ..hdfs.namenode import NameNode
 from ..iosched.anticipatory import AnticipatoryParams, AnticipatoryScheduler
 from ..metrics.slo import percentiles
 from ..net.topology import Topology
 from ..obs import capture
-from ..obs.metrics import TraceMetrics
 from ..mapreduce.multijob import MultiJobTracker
 from ..mapreduce.phases import JobResult, PhaseTimes
-from ..sim.tracing import TraceBus
-from ..virt.pair import SchedulerPair
 from ..workloads.arrivals import generate_arrivals
 from ..workloads.sysbench import SysbenchSeqWrite
 from .spec import RunSpec
@@ -186,8 +182,8 @@ def _run_job(config, seed: int) -> Dict[str, Any]:
 def _run_controlled_job(config, seed: int) -> Dict[str, Any]:
     """config = (TestbedConfig, CtrlConfig, FaultPlan | None).
 
-    A job run with the online adaptive controller attached: the
-    controller detects phase boundaries from live trace topics and
+    A job run under :func:`~repro.api.run_controlled_job`: the online
+    adaptive controller waits on the job's phase boundaries and
     switches scheduler pairs through the cluster's normal machinery.
     ``ctrl.policy=None`` runs the static ``ctrl.initial`` pair end to
     end (the baseline the metamorphic tests pin against).  The payload
@@ -196,31 +192,9 @@ def _run_controlled_job(config, seed: int) -> Dict[str, Any]:
     state.
     """
     testbed, ctrl, fault_plan = config
-    bus = capture.current_bus() or TraceBus()
-    initial = SchedulerPair.parse(ctrl.initial)
-    parts = assemble_job(testbed.cluster.with_(initial_pair=initial),
-                         testbed.job, seed=seed, trace=bus,
-                         fault_plan=fault_plan)
-    env, cluster = parts.env, parts.cluster
-    proc = parts.start()
-    controller = None
-    if ctrl.policy is not None:
-        metrics = TraceMetrics()
-        metrics.attach(bus, topics=SIGNAL_TOPICS)
-        policy = make_policy(ctrl, rng=cluster.rng.stream("ctrl.bandit"))
-        controller = OnlineAdaptiveController(
-            env, cluster, bus, metrics.registry, policy, ctrl,
-            n_phases=testbed.n_phases,
-        )
-    if ctrl.interference_bytes > 0:
-        # Background co-tenant write stream (the interference condition
-        # of fig-ctrl); it may still be running when the job completes.
-        SysbenchSeqWrite(env, cluster,
-                         total_bytes=ctrl.interference_bytes).start()
-    env.run(until=proc)
-    result = proc.value
-    result.storage = cluster.storage_stats()
-
+    result, controller = run_controlled_job(
+        testbed, ctrl, seed, fault_plan=fault_plan,
+        trace=capture.current_bus())
     stall = controller.switch_stall if controller is not None else 0.0
     payload = encode_job_result(result, stall,
                                 faults=fault_plan is not None)

@@ -1,10 +1,12 @@
-"""A lightweight publish/subscribe trace bus and time-series samplers.
+"""A lightweight recording trace bus and time-series samplers.
 
-Experiments subscribe to topics ("disk.complete", "job.maps_done", ...)
-to build CDFs and timelines without the simulated components knowing
-about the instrumentation.  The observability layer (:mod:`repro.obs`)
-records whole topic families with ``record_topic("disk.*")`` or
-``record_topic("*")`` and exports the records after the run.
+Simulated components publish records ("disk.complete", "job.maps_done",
+...) without knowing who, if anyone, keeps them.  The bus only records:
+nothing in the simulation reads it back, so attaching one never changes
+a run.  The observability layer (:mod:`repro.obs`) records whole topic
+families with ``record_topic("disk.*")`` or ``record_topic("*")``,
+streams them to sinks (spillers, a live metrics fold), and exports the
+records after the run.
 
 The canonical list of topics the simulator publishes lives in
 :mod:`repro.obs.topics` (the registry ``repro lint``'s TRACE001 rule
@@ -42,10 +44,9 @@ class TraceRecord:
 
 
 class TraceBus:
-    """Topic-based pub/sub with optional in-memory recording."""
+    """Topic-filtered recorder with optional streaming sinks."""
 
     def __init__(self) -> None:
-        self._subscribers: DefaultDict[str, List[Callable[[TraceRecord], None]]] = defaultdict(list)
         self._recorded_topics: set[str] = set()
         #: Prefixes registered via ``record_topic("family.*")``.
         self._recorded_prefixes: List[str] = []
@@ -66,29 +67,6 @@ class TraceBus:
         #: a prefix scan per event.
         self._keep_cache: Dict[str, bool] = {}
 
-    def subscribe(self, topic: str, callback: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``callback`` for every record published on ``topic``.
-
-        Subscribing the same callback twice is allowed and means two
-        invocations per record (mirroring signal/slot conventions);
-        each registration needs its own :meth:`unsubscribe`.
-        """
-        self._subscribers[topic].append(callback)
-
-    def unsubscribe(self, topic: str, callback: Callable[[TraceRecord], None]) -> None:
-        """Remove one registration of ``callback`` from ``topic``.
-
-        Safe to call from inside a callback during :meth:`publish` —
-        the in-flight publication still delivers to the subscriber list
-        as it stood when the record was published.
-        """
-        try:
-            self._subscribers[topic].remove(callback)
-        except ValueError:
-            raise KeyError(
-                f"callback not subscribed to topic {topic!r}"
-            ) from None
-
     def record_topic(self, topic: str) -> None:
         """Keep all records for ``topic`` in :attr:`records`.
 
@@ -97,10 +75,9 @@ class TraceBus:
         ``"*"`` to record everything published.
 
         Recording starts at the time of this call: records published on
-        ``topic`` beforehand were dropped (publish is a no-op without
-        listeners) and are *not* retroactively recovered, but earlier
-        records delivered to subscribers of other recorded topics are
-        unaffected.  Calling this twice is a no-op.
+        ``topic`` beforehand were dropped (publish is a no-op on topics
+        nobody records) and are *not* retroactively recovered.  Calling
+        this twice is a no-op.
         """
         if topic == "*":
             self._record_all = True
@@ -136,7 +113,7 @@ class TraceBus:
         return any(topic.startswith(p) for p in self._recorded_prefixes)
 
     def clear(self) -> None:
-        """Drop all recorded records; keep subscriptions and topic config.
+        """Drop all recorded records; keep sinks and topic config.
 
         Long sweeps call this between jobs to bound memory: the bus keeps
         recording the same topics afterwards, from an empty buffer.
@@ -144,37 +121,19 @@ class TraceBus:
         self.records.clear()
         self._by_topic.clear()
 
-    def wants(self, topic: str) -> bool:
-        """True when publishing on ``topic`` would reach a recorder or
-        subscriber — lets hot call sites skip building the payload."""
-        if self._subscribers.get(topic):
-            return True
-        keep = self._keep_cache.get(topic)
-        if keep is None:
-            keep = self._keep_cache[topic] = self._should_record(topic)
-        return keep
-
     def publish(self, time: float, topic: str, **payload: Any) -> None:
-        """Publish a record; cheap no-op when nobody listens."""
-        subs = self._subscribers.get(topic)
+        """Publish a record; cheap no-op on topics nobody records."""
         keep = self._keep_cache.get(topic)
         if keep is None:
             keep = self._keep_cache[topic] = self._should_record(topic)
-        if not subs and not keep:
+        if not keep:
             return
         record = TraceRecord(time, topic, payload)
-        if keep:
-            if self.retain_records:
-                self.records.append(record)
-                self._by_topic[topic].append(record)
-            for sink in self._sinks:
-                sink(record)
-        if subs:
-            # Iterate a snapshot so callbacks may subscribe/unsubscribe
-            # (previously this crashed with "list modified during
-            # iteration" when a callback unsubscribed itself).
-            for callback in tuple(subs):
-                callback(record)
+        if self.retain_records:
+            self.records.append(record)
+            self._by_topic[topic].append(record)
+        for sink in self._sinks:
+            sink(record)
 
     def recorded(self, topic: str) -> List[TraceRecord]:
         """All recorded records for ``topic`` in publication order."""

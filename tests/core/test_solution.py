@@ -43,6 +43,16 @@ def test_first_phase_must_be_concrete():
         Solution(())
 
 
+def test_concrete_slot_repeating_the_installed_pair_is_rejected():
+    # "Same pair" is spelled None; a concrete repeat would re-install
+    # the elevator, which the greedy controller never does.
+    for plan in ((CC, CC), (AD, None, AD), (AD, DD, DD)):
+        with pytest.raises(ValueError, match="write None"):
+            Solution(plan)
+    # Returning to an earlier pair is a real switch.
+    assert Solution((AD, DD, AD)).n_switches == 2
+
+
 def test_str_uses_paper_zero_notation():
     s = Solution((AD, None))
     assert str(s) == "(AS, DL) -> 0"

@@ -122,6 +122,17 @@ def test_run_rejects_mismatched_plan_lengths_cleanly(capsys):
     assert "repro run: error:" in capsys.readouterr().err
 
 
+def test_run_rejects_a_plan_that_does_not_start_on_the_initial_pair(capsys):
+    # The map phase runs on --initial; a plan naming another map pair
+    # used to be dropped silently (zero switches, plan cc -> cc).
+    rc = run_controlled(["--controller", "greedy", "--plan", "ad,cc",
+                         "--initial", "cc"] + FAST)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "repro run: error:" in err
+    assert "initial='cc'" in err
+
+
 def test_main_dispatches_the_run_subcommand(capsys):
     rc = main(["run", "--controller", "hysteresis"] + FAST)
     assert rc == 0

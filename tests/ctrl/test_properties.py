@@ -1,16 +1,19 @@
-"""Controller properties: boundary detection, determinism, metamorphics.
+"""Controller properties: boundary detection, signals, metamorphics.
 
 The load-bearing assertions are the bit-exact identities: an online
-greedy run equals the offline ``_switcher`` run of the same plan, and a
-never-switching controller equals the uncontrolled ``job`` kind.  They
-anchor everything the regret oracle assumes — a policy's trajectory for
-plan *P* IS the static run of *P*.
+greedy run equals the ``job`` kind's run of the same offline plan (which
+``run_job`` lowers to the same greedy controller), and a never-switching
+controller equals the uncontrolled ``job`` kind.  They anchor everything
+the regret oracle assumes — a policy's trajectory for plan *P* IS the
+static run of *P*.  The queue depth the controller prices switches by
+is pinned against the trace-derived ``disk.queue_depth`` gauges.
 """
 
 import json
 
 import pytest
 
+from repro.api import assemble_job, scaled_testbed
 from repro.core.solution import Solution
 from repro.ctrl import BOUNDARY_NAMES, CtrlConfig
 from repro.ctrl.policies import (
@@ -22,8 +25,11 @@ from repro.ctrl.policies import (
     policy_names,
     resolve_policy,
 )
+from repro.obs.metrics import TraceMetrics
 from repro.runner import RunSpec, SweepRunner, execute_spec
+from repro.sim.tracing import TraceBus
 from repro.virt.pair import SchedulerPair
+from repro.workloads.profiles import SORT
 
 from .conftest import controlled_spec, run_controlled, small_testbed
 
@@ -52,6 +58,17 @@ def test_registry_names_the_three_policies():
     with pytest.raises(ValueError) as exc:
         resolve_policy("nope")
     assert "'bandit', 'greedy', 'hysteresis'" in str(exc.value)
+
+
+def test_plan_following_policies_need_a_plan_that_starts_on_initial():
+    for policy in ("greedy", "hysteresis"):
+        with pytest.raises(ValueError, match=r"initial='cc', got \(\)"):
+            CtrlConfig(policy=policy, initial="cc")
+        # Used to drop the map pair silently: zero switches, cc -> cc.
+        with pytest.raises(ValueError, match="initial='cc'"):
+            CtrlConfig(policy=policy, initial="cc", phase_pairs=("ad", "cc"))
+    # The bandit ignores the plan.
+    CtrlConfig(policy="bandit", initial="cc", phase_pairs=("ad", "cc"))
 
 
 def test_greedy_follows_the_plan_and_holds_when_it_matches():
@@ -117,6 +134,52 @@ def test_two_phase_runs_detect_only_the_map_boundary():
     assert payload["ctrl"]["plan"] == ["ad", "cc"]
     assert payload["ctrl"]["n_switches"] == 1
     assert payload["ctrl"]["switch_stall"] >= 0
+
+
+# -- the queue-depth signal ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("storage", ["hdd", "ssd"])
+def test_device_counts_equal_the_trace_queue_depth_gauges(storage):
+    """Across a whole cluster, each host disk's and VM vdisk's
+    unfinished count equals the gauge a TraceMetrics fold derives from
+    disk.submit/disk.complete, at every such record, through a mid-run
+    cc -> ad switch (merges: tests/disk/test_device.py)."""
+    testbed = scaled_testbed(SORT, scale=0.05, hosts=2, vms_per_host=2,
+                             storage=storage)
+    bus = TraceBus()
+    bus.record_topic("disk.*")
+    bus.retain_records = False
+    parts = assemble_job(testbed.cluster, testbed.job, seed=0, trace=bus)
+    cluster = parts.cluster
+    devices = {host.disk.name: host.disk for host in cluster.hosts}
+    devices.update({vm.vdisk.name: vm.vdisk for vm in cluster.vms})
+    assert len(devices) == len(cluster.hosts) + len(cluster.vms)
+    fold = TraceMetrics()
+    bus.add_sink(fold.handle)
+    checked, mismatches = [0], []
+
+    def check(record):
+        if record.topic not in ("disk.submit", "disk.complete"):
+            return
+        name = record.payload["device"]
+        gauge = fold.registry.gauge("disk.queue_depth", device=name).value
+        if devices[name].unfinished != gauge:
+            mismatches.append((record.time, record.topic, name))
+        checked[0] += 1
+
+    bus.add_sink(check)
+    proc = parts.start()
+
+    def switch():
+        yield parts.job.maps_done_event
+        yield cluster.set_pair(SchedulerPair.parse("ad"))
+
+    parts.env.process(switch())
+    parts.env.run(until=proc)
+    assert mismatches == []
+    assert checked[0] > 0
+    assert cluster.current_pair.label == "ad"
 
 
 # -- determinism across execution paths ----------------------------------------------

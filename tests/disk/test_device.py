@@ -17,6 +17,7 @@ from repro.iosched import (
     NoopScheduler,
     scheduler_factory,
 )
+from repro.obs.metrics import TraceMetrics
 from repro.sim import Environment, TraceBus
 
 
@@ -179,6 +180,42 @@ def test_trace_events_published():
     env.run()
     assert len(bus.recorded("disk.submit")) == 1
     assert len(bus.recorded("disk.complete")) == 1
+
+
+def test_unfinished_count_matches_the_trace_gauge_through_merges_and_a_switch():
+    env = Environment()
+    bus = TraceBus()
+    bus.record_topic("disk.*")
+    dev = make_device(env, sched=DeadlineScheduler(), trace=bus)
+    fold = TraceMetrics()
+    bus.add_sink(fold.handle)
+    seen = []
+
+    def check(record):
+        if record.topic in ("disk.submit", "disk.complete"):
+            gauge = fold.registry.gauge("disk.queue_depth", device=dev.name)
+            seen.append((dev.unfinished, gauge.value))
+
+    bus.add_sink(check)
+    dev.submit(req(1_000_000))  # occupies the spindle
+    for i in range(3):  # queued back to back: merged into one command
+        dev.submit(req(2_000_000 + 256 * i))
+    for i in range(10):
+        dev.submit(req(i * 100_000_000))
+    switch_done = dev.switch_scheduler(scheduler_factory("cfq"))
+
+    def submit_late(env, dev):
+        yield env.timeout(0.005)  # mid-switch: bypasses the elevator
+        dev.submit(req(123_456))
+
+    env.process(submit_late(env, dev))
+    env.run()
+    assert switch_done.processed
+    merged = [r.payload["merged_rids"] for r in bus.recorded("disk.complete")]
+    assert max(len(rids) for rids in merged) >= 2
+    assert len(seen) == len(bus.recorded("disk.submit")) + len(merged)
+    assert all(count == gauge for count, gauge in seen)
+    assert dev.unfinished == 0
 
 
 def test_stats_busy_time_accumulates():

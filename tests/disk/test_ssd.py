@@ -157,13 +157,13 @@ def test_channel_backlog_trace_hand_computed():
 
     env = Environment()
     bus = TraceBus()
-    seen = []
-    bus.subscribe("ssd.channel", lambda r: seen.append((r.time, r.payload)))
+    bus.record_topic("ssd.channel")
     dev = make_ssd(env, trace=bus)
     done = [dev.submit(read(0)), dev.submit(read(16))]
     for ev in done:
         env.run(until=ev)
     lat = SMALL.read_latency
+    seen = [(r.time, r.payload) for r in bus.recorded("ssd.channel")]
     assert seen == [
         (0.0, {"device": dev.name, "channel": 0, "backlog": lat}),
         (0.0, {"device": dev.name, "channel": 0, "backlog": lat + lat}),
@@ -222,9 +222,7 @@ def _churn_with_reads():
 
     env = Environment()
     bus = TraceBus()
-    gc = []
-    bus.subscribe("ssd.gc", lambda r: gc.append(
-        (r.payload["victim"], r.payload["moved"])))
+    bus.record_topic("ssd.gc")
     dev = make_ssd(env, trace=bus)
     reads = []
     for rnd in range(16):
@@ -239,6 +237,8 @@ def _churn_with_reads():
         reads += [ev.value.complete_time for ev in done]
         env.run(until=env.now + 1.0)
     dev.check_conservation()
+    gc = [(r.payload["victim"], r.payload["moved"])
+          for r in bus.recorded("ssd.gc")]
     return gc, dev.storage_stats(), env.now, reads
 
 
@@ -257,10 +257,9 @@ def test_trace_topics_published():
 
     env = Environment()
     bus = TraceBus()
-    seen = []
-    for topic in ("ssd.gc", "ssd.writeback", "ssd.channel"):
-        bus.subscribe(topic, lambda r: seen.append(r.topic))
+    bus.record_topic("ssd.*")
     dev = make_ssd(env, trace=bus)
     for _ in range(16):
         run_all(env, dev, [write(i * 8) for i in range(16)])
-    assert {"ssd.gc", "ssd.writeback", "ssd.channel"} <= set(seen)
+    seen = {r.topic for r in bus.records}
+    assert {"ssd.gc", "ssd.writeback", "ssd.channel"} <= seen

@@ -91,10 +91,14 @@ def test_inert_fault_plan_matches_golden_digest():
 
 
 #: Payload pins for the run kinds and plan shapes the digests above do
-#: not reach: switching ``job`` plans (2- and 3-phase), a switching
-#: chain, the instrumented/knockout/reactive sorts, a controlled job
-#: under hysteresis with faults and co-tenant interference, and a dd
-#: run that switches mid-flight.  All on the 2x2 testbed at scale 0.05.
+#: not reach: switching ``job`` plans (2- and 3-phase, with and without
+#: a no-switch slot), a switching faulty job, a switching chain, the
+#: instrumented/knockout/reactive sorts, controlled jobs under every
+#: policy (a 3-phase greedy run whose shuffle boundary fires while the
+#: first switch is still draining, a bandit with seeded state, a dwelling
+#: hysteresis run on SSDs with faults, a static run with co-tenant
+#: interference), and a dd run that switches mid-flight.  All on the
+#: 2x2 testbed at scale 0.05.
 PINNED_DIGESTS = {
     "job_cc_ad":
         "d0b2f7dc22899b4d634b7dd5f456618b88a85a1242167f23137c839022521730",
@@ -112,6 +116,18 @@ PINNED_DIGESTS = {
         "bb560313b95bc5c859884561e9dd06b991d467e9487112838d1ead6326306dad",
     "dd_mid_run_switch":
         "c1a41eb2e2addbec8773c8c1ba0c6b3c1c9bab1e4b4fdb3bcc021a0231203b03",
+    "controlled_job_greedy_3phase":
+        "901e732bc2146e01ca06710705f16e059902cb314561e900b154ca1178c72d92",
+    "controlled_job_bandit_seeded_state":
+        "7c4cc10c1f96832f4c716563bf2c4bf065e3bf2fa39afc8c4032683d20e37211",
+    "controlled_job_hysteresis_ssd_light_dwell":
+        "8b9097a90c445f36b89a302eaeab3c8df1a1660c8fe9fb1d96e32ad01058347d",
+    "controlled_job_static_interference":
+        "03318367c119763c5f6ab4176843b55feb67b75729adbf879c356892c9813f16",
+    "faulty_job_cc_ad_light":
+        "080e5553f60d257edf211d5c1d73fcc4896c28ae0b9d51870992c0ccd71166af",
+    "job_cc_none_dd":
+        "2553ea9744c358cdeb6180e44f77680b21056b37442300ba63cb2f1ccabb5d5e",
 }
 
 
@@ -144,6 +160,37 @@ def pinned_spec(name):
         )),
         "dd_mid_run_switch": ("dd", (cluster.with_(hosts=1), 8 * 1024 * 1024,
                                      cc, ad, 0.1)),
+        "controlled_job_greedy_3phase": ("controlled_job", (
+            testbed.with_(n_phases=3),
+            CtrlConfig(policy="greedy", initial="cc",
+                       phase_pairs=("cc", "ad", "dd")),
+            None,
+        )),
+        "controlled_job_bandit_seeded_state": ("controlled_job", (
+            testbed,
+            CtrlConfig(policy="bandit", initial="cc", arms=("ad", "cc", "dd"),
+                       epsilon=0.5, state=(("default", "ad", 1, 9.0),
+                                           ("default", "dd", 2, 8.0))),
+            None,
+        )),
+        # One decision, one switch and one map retry; with dwell=2.0 the
+        # job would end before the controller decides.
+        "controlled_job_hysteresis_ssd_light_dwell": ("controlled_job", (
+            scaled_testbed(SORT, scale=0.05, hosts=2, vms_per_host=2,
+                           seeds=(0,), storage="ssd"),
+            CtrlConfig(policy="hysteresis", initial="cc",
+                       phase_pairs=("cc", "ad"), dwell=0.2),
+            get_preset("light"),
+        )),
+        "controlled_job_static_interference": ("controlled_job", (
+            testbed,
+            CtrlConfig(initial="ad", interference_bytes=16 * 1024 * 1024),
+            None,
+        )),
+        "faulty_job_cc_ad_light": ("faulty_job", (
+            testbed, Solution((cc, ad)), get_preset("light"))),
+        "job_cc_none_dd": ("job", (testbed.with_(n_phases=3),
+                                   Solution((cc, None, dd)))),
     }
     kind, config = configs[name]
     return RunSpec(kind=kind, seed=0, config=config, label=f"pin {name}")

@@ -13,7 +13,13 @@ from repro.obs import capture
 from repro.obs.export import load_jsonl
 from repro.runner import RunSpec
 from repro.runner.kinds import execute_spec
-from tests.integration.test_golden_digest import GOLDEN_DIGEST, digest, golden_config
+from tests.integration.test_golden_digest import (
+    GOLDEN_DIGEST,
+    PINNED_DIGESTS,
+    digest,
+    golden_config,
+    pinned_spec,
+)
 
 
 @pytest.fixture
@@ -108,3 +114,46 @@ def test_topic_filter_limits_captured_records(clean_capture_env, tmp_path):
     topics = {r.topic for r in load_jsonl(trace)}
     assert topics
     assert all(t.startswith("job.") for t in topics)
+
+
+def test_captured_switching_job_carries_ctrl_records(clean_capture_env,
+                                                     tmp_path):
+    # A switching plan runs under the greedy controller, so its capture
+    # holds the controller's records, timed like the payload.
+    capture.enable(tmp_path, ("ctrl.*",))
+    try:
+        payload = execute_spec(pinned_spec("job_cc_ad"))
+    finally:
+        capture.disable()
+    assert digest(payload) == PINNED_DIGESTS["job_cc_ad"]
+    [trace] = sorted(tmp_path.glob("*.trace.jsonl"))
+    records = load_jsonl(trace)
+    [switch] = [r for r in records if r.topic == "ctrl.switch"]
+    assert switch.payload["pair"] == "ad"
+    assert switch.payload["stall"] == payload["switch_stall"] > 0
+    [phase] = [r for r in records if r.topic == "ctrl.phase"]
+    assert phase.payload["boundary"] == "maps_done"
+    assert phase.time == payload["phases"]["maps_done"]
+
+
+def test_late_boundary_is_recorded_at_its_firing_time(clean_capture_env,
+                                                      tmp_path):
+    # This pin's shuffle boundary fires while the first switch is still
+    # draining: the controller sees it late, but its detection and its
+    # ctrl.phase record keep the instant it fired.
+    capture.enable(tmp_path, ("ctrl.*",))
+    try:
+        payload = execute_spec(pinned_spec("controlled_job_greedy_3phase"))
+    finally:
+        capture.disable()
+    assert digest(payload) == PINNED_DIGESTS["controlled_job_greedy_3phase"]
+    ctrl = payload["ctrl"]
+    first, second = ctrl["switches"]
+    shuffle = ctrl["detections"][1]
+    assert shuffle["boundary"] == "shuffle_done"
+    assert shuffle["time"] == payload["phases"]["shuffle_done"]
+    assert shuffle["time"] < first["time"] + first["stall"]
+    assert shuffle["time"] < second["time"]
+    [trace] = sorted(tmp_path.glob("*.trace.jsonl"))
+    phases = [r for r in load_jsonl(trace) if r.topic == "ctrl.phase"]
+    assert [r.time for r in phases] == [d["time"] for d in ctrl["detections"]]

@@ -151,11 +151,13 @@ def test_trace_metrics_switch_and_service_accounting():
 
 
 def test_trace_metrics_attach_detach_live_bus():
+    # Attached as a sink, the fold sees what the bus records, live.
     bus = TraceBus()
+    bus.record_topic("*")
     tm = TraceMetrics()
-    tm.attach(bus)
+    bus.add_sink(tm.handle)
     bus.publish(0.0, "disk.submit", device="d", rid=1)
-    tm.detach(bus)
+    bus.remove_sink(tm.handle)
     bus.publish(1.0, "disk.submit", device="d", rid=2)
     snap = tm.registry.snapshot()
     assert snap["counters"]["disk.submitted{device=d}"] == 1.0

@@ -1,17 +1,12 @@
 """The trace-topic registry is the single source of truth."""
 
 from repro.obs import topics
-from repro.obs.metrics import TraceMetrics
 from repro.sim.tracing import known_topics
 
 
 def test_registry_is_deduplicated_and_nonempty():
     assert len(topics.TOPIC_NAMES) == len(topics.REGISTERED_TOPICS) >= 20
     assert all(spec.name and spec.doc for spec in topics.TOPICS)
-
-
-def test_trace_metrics_subscribes_to_the_registry():
-    assert TraceMetrics.TOPICS is topics.TOPIC_NAMES
 
 
 def test_sim_layer_sees_the_same_registry_lazily():

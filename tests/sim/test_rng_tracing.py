@@ -37,17 +37,6 @@ def test_spawn_is_deterministic_and_independent():
     assert list(r1) != list(r3)
 
 
-def test_trace_subscribe_and_publish():
-    bus = TraceBus()
-    got = []
-    bus.subscribe("x", lambda rec: got.append(rec))
-    bus.publish(1.0, "x", a=1)
-    bus.publish(2.0, "y", b=2)  # nobody listens → dropped
-    assert len(got) == 1
-    assert got[0].time == 1.0
-    assert got[0].payload == {"a": 1}
-
-
 def test_trace_record_topic_keeps_records():
     bus = TraceBus()
     bus.record_topic("x")
@@ -59,10 +48,14 @@ def test_trace_record_topic_keeps_records():
 
 def test_trace_unrecorded_topic_not_kept():
     bus = TraceBus()
+    got = []
     bus.record_topic("x")
-    bus.subscribe("y", lambda rec: None)
-    bus.publish(1.0, "y", v=1)
+    bus.add_sink(got.append)
+    bus.publish(1.0, "y", v=1)  # nobody records "y" → dropped
+    bus.publish(2.0, "x", a=1)
     assert bus.recorded("y") == []
+    # Sinks see exactly the recorded records, time and payload intact.
+    assert [(r.time, r.topic, r.payload) for r in got] == [(2.0, "x", {"a": 1})]
 
 
 def test_trace_record_topic_starts_at_call_time():
@@ -72,69 +65,6 @@ def test_trace_record_topic_starts_at_call_time():
     bus.record_topic("x")  # idempotent
     bus.publish(2.0, "x", v=2)
     assert [r.payload["v"] for r in bus.recorded("x")] == [2]
-
-
-def test_trace_unsubscribe_stops_delivery():
-    bus = TraceBus()
-    got = []
-    cb = got.append
-    bus.subscribe("x", cb)
-    bus.publish(1.0, "x", v=1)
-    bus.unsubscribe("x", cb)
-    bus.publish(2.0, "x", v=2)
-    assert [r.payload["v"] for r in got] == [1]
-    with pytest.raises(KeyError):
-        bus.unsubscribe("x", cb)  # already removed
-    with pytest.raises(KeyError):
-        bus.unsubscribe("never-subscribed", cb)
-
-
-def test_trace_duplicate_subscribe_means_two_deliveries():
-    bus = TraceBus()
-    got = []
-    cb = got.append
-    bus.subscribe("x", cb)
-    bus.subscribe("x", cb)
-    bus.publish(1.0, "x", v=1)
-    assert len(got) == 2
-    # Each registration needs its own unsubscribe.
-    bus.unsubscribe("x", cb)
-    bus.publish(2.0, "x", v=2)
-    assert len(got) == 3
-    bus.unsubscribe("x", cb)
-    bus.publish(3.0, "x", v=3)
-    assert len(got) == 3
-
-
-def test_trace_unsubscribe_during_publish_is_safe():
-    # A callback that unsubscribes itself mid-publication must not
-    # break delivery to the other subscribers of the same record
-    # (previously: "list modified during iteration").
-    bus = TraceBus()
-    got = []
-
-    def once(rec):
-        got.append(("once", rec.payload["v"]))
-        bus.unsubscribe("x", once)
-
-    bus.subscribe("x", once)
-    bus.subscribe("x", lambda rec: got.append(("steady", rec.payload["v"])))
-    bus.publish(1.0, "x", v=1)
-    bus.publish(2.0, "x", v=2)
-    assert got == [("once", 1), ("steady", 1), ("steady", 2)]
-
-
-def test_trace_subscribe_during_publish_does_not_see_inflight_record():
-    bus = TraceBus()
-    got = []
-
-    def recruiter(rec):
-        bus.subscribe("x", lambda r: got.append(r.payload["v"]))
-
-    bus.subscribe("x", recruiter)
-    bus.publish(1.0, "x", v=1)  # snapshot: the recruit misses this one
-    bus.publish(2.0, "x", v=2)
-    assert got == [2]
 
 
 def test_trace_record_topic_wildcards():
@@ -170,13 +100,13 @@ def test_trace_recorded_uses_per_topic_index():
 def test_trace_clear_resets_records_keeps_subscriptions():
     bus = TraceBus()
     got = []
-    bus.subscribe("x", got.append)
+    bus.add_sink(got.append)
     bus.record_topic("x")
     bus.publish(1.0, "x", v=1)
     bus.clear()
     assert bus.records == []
     assert bus.recorded("x") == []
-    # Subscriptions and recording configuration survive the clear.
+    # Sinks and recording configuration survive the clear.
     bus.publish(2.0, "x", v=2)
     assert [r.payload["v"] for r in bus.recorded("x")] == [2]
     assert [r.payload["v"] for r in got] == [1, 2]
