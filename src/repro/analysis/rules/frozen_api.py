@@ -1,8 +1,9 @@
 """API001: frozen/slotted dataclasses are written only by their module.
 
-Frozen dataclasses (``RunSpec``, ``Scenario``, ``TraceRecord``,
-``CaptureConfig``, the config dataclasses…) are the repo's value
-objects: cache keys hash them, payload equality relies on them.  The
+Frozen dataclasses (``RunSpec``, ``Scenario``, ``CaptureConfig``, the
+config dataclasses…) are the repo's value objects: cache keys hash
+them, payload equality relies on them.  (``TraceRecord`` is a
+``NamedTuple``: a tuple, so immutable without this rule.)  The
 runtime ``FrozenInstanceError`` only fires on plain attribute syntax —
 ``object.__setattr__`` slips straight past it — so this rule flags
 *both* forms whenever they target a frozen or slotted dataclass from

@@ -4,8 +4,8 @@ Four concerns, one package:
 
 * :mod:`repro.obs.metrics` — deterministic simulation-time counters,
   gauges, and fixed-bucket histograms, auto-populated from trace topics;
-* :mod:`repro.obs.export` — JSONL trace files (filtered, ring-capped)
-  and Chrome trace-event exports viewable in Perfetto;
+* :mod:`repro.obs.export` — the canonical JSONL record encoding and
+  Chrome trace-event exports viewable in Perfetto;
 * :mod:`repro.obs.profile` — wall-clock profiling of the sweep runner
   (stage timings, worker utilization, cache traffic);
 * :mod:`repro.obs.capture` — the per-run capture switch the CLI's
@@ -15,7 +15,7 @@ Four concerns, one package:
 * :mod:`repro.obs.spans` — causal span reconstruction, critical-path
   extraction, and blame attribution over captured trace records;
 * :mod:`repro.obs.spill` — the windowed, memory-bounded JSONL writer
-  streaming captures use;
+  (filtered, optionally ring-capped), the only one;
 * :mod:`repro.obs.topics` — the machine-readable trace-topic registry
   (the single source of truth ``repro lint``'s TRACE001 rule enforces).
 
@@ -25,7 +25,6 @@ never changes simulation results, cache keys, or cached records.
 
 from .capture import CaptureConfig, RunCapture, config_from_env, current_bus
 from .export import (
-    JsonlTraceWriter,
     TopicFilter,
     load_jsonl,
     to_chrome_trace,
@@ -68,7 +67,6 @@ __all__ = [
     "EmptyTraceError",
     "Gauge",
     "Histogram",
-    "JsonlTraceWriter",
     "MetricsRegistry",
     "MissingTraceError",
     "REGISTERED_TOPICS",

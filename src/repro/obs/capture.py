@@ -15,15 +15,11 @@ snapshot land in the capture directory as
 (the 12-hex ``key12`` is the run's content-addressed spec-key prefix, so
 file names are deterministic and collision-free across a sweep).
 
-Capture is **streaming and memory-bounded**: when constructed with the
-run's spec (the ``execute_spec`` path), the bus retains nothing — each
-matched record flows through a :class:`~repro.obs.spill.TraceSpiller`
+Capture is **streaming and memory-bounded**: the bus retains nothing —
+each matched record flows through a :class:`~repro.obs.spill.TraceSpiller`
 (windowed JSONL appends, at most ``window`` records in memory) and a
-live :class:`~repro.obs.metrics.TraceMetrics` fold.  The resulting
-artifacts are byte-identical to the old buffer-everything path, which
-``tests/obs/test_spill.py`` pins across seeds.  Without a spec (ad-hoc
-use, tests) the bus buffers as before and :meth:`RunCapture.finish`
-exports in one shot.
+live :class:`~repro.obs.metrics.TraceMetrics` fold.  The artifact bytes
+are pinned per run kind in ``tests/obs/test_capture.py``.
 
 Capture is strictly a side channel: payloads, cache keys, and cached
 records are byte-identical with capture on or off — trace publication
@@ -40,7 +36,6 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from ..sim.tracing import TraceBus
-from .export import write_jsonl
 from .metrics import TraceMetrics
 from .spill import DEFAULT_WINDOW, TraceSpiller
 
@@ -75,15 +70,27 @@ class CaptureConfig:
     #: ``cap`` is set — the ring itself is the memory bound then).
     window: int = DEFAULT_WINDOW
 
+    def __post_init__(self) -> None:
+        _check_size("cap", self.cap)
+        _check_size("window", self.window)
+
+
+def _check_size(name: str, value: Optional[int]) -> Optional[int]:
+    """Reject a record count every run's spiller would refuse."""
+    if value is not None and (not isinstance(value, int) or value < 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
 
 def _env_int(name: str) -> Optional[int]:
     raw = os.environ.get(name, "").strip()
     if not raw:
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError(f"${name} must be an integer, got {raw!r}") from None
+    return _check_size(f"${name}", value)
 
 
 def config_from_env() -> Optional[CaptureConfig]:
@@ -97,17 +104,17 @@ def config_from_env() -> Optional[CaptureConfig]:
         return None
     raw_topics = os.environ.get(ENV_TRACE_TOPICS, "*")
     topics = tuple(t.strip() for t in raw_topics.split(",") if t.strip()) or ("*",)
-    cap = _env_int(ENV_TRACE_CAP)
-    window = _env_int(ENV_TRACE_WINDOW)
     return CaptureConfig(
-        out_dir=out_dir, topics=topics, cap=cap,
-        window=window if window is not None else DEFAULT_WINDOW,
+        out_dir=out_dir, topics=topics, cap=_env_int(ENV_TRACE_CAP),
+        window=_env_int(ENV_TRACE_WINDOW) or DEFAULT_WINDOW,
     )
 
 
 def enable(out_dir: os.PathLike | str, topics: Tuple[str, ...] = ("*",),
            cap: Optional[int] = None, window: Optional[int] = None) -> None:
     """Turn capture on process-wide (and for future worker children)."""
+    _check_size("cap", cap)
+    _check_size("window", window)
     os.environ[ENV_TRACE_OUT] = str(out_dir)
     os.environ[ENV_TRACE_TOPICS] = ",".join(topics)
     if cap is not None:
@@ -138,43 +145,38 @@ class RunCapture:
 
     Context-manager form keeps ``execute_spec`` tidy::
 
-        with RunCapture(cfg, spec=spec) as cap:
+        with RunCapture(cfg, spec) as cap:
             payload = fn(spec.config, spec.seed)
-        cap.finish(spec)
+        cap.finish()
 
-    With ``spec`` the capture streams (bounded memory: records spill to
-    ``<base>.trace.jsonl`` in windows while metrics fold live); without
-    it, the bus buffers everything and :meth:`finish` exports in one
-    shot — handy for ad-hoc captures that inspect ``bus.records``.
-    A failed run (exception inside the ``with``) aborts the streaming
-    writer, leaving no half-written ``.trace.jsonl`` behind.
+    Records spill to ``<base>.trace.jsonl`` in windows while metrics
+    fold live.  A failed run (exception inside the ``with``) aborts the
+    streaming writer, leaving no half-written ``.trace.jsonl`` behind.
     """
 
-    def __init__(self, config: CaptureConfig, spec=None):
-        self.config = config
+    def __init__(self, config: CaptureConfig, spec):
+        # Imported lazily: repro.runner imports repro.obs.capture at
+        # module load (via kinds), so the reverse edge must not run at
+        # import time.
+        from ..runner.spec import spec_key
+
         self.bus = TraceBus()
         for topic in config.topics:
             self.bus.record_topic(topic)
-        self._spiller: Optional[TraceSpiller] = None
-        self._metrics: Optional[TraceMetrics] = None
-        self.trace_path: Optional[Path] = None
-        self.metrics_path: Optional[Path] = None
-        if spec is not None:
-            out = Path(config.out_dir)
-            base = self.artifact_base(spec)
-            self.trace_path = out / f"{base}.trace.jsonl"
-            self.metrics_path = out / f"{base}.metrics.json"
-            # Sinks see the record stream the buffered bus would have
-            # kept (same topic filter, same order): the spiller applies
-            # the ring cap itself, the metrics fold is uncapped exactly
-            # like the old replay-over-all-records path.
-            self._spiller = TraceSpiller(
-                self.trace_path, window=config.window, cap=config.cap
-            )
-            self._metrics = TraceMetrics()
-            self.bus.add_sink(self._spiller)
-            self.bus.add_sink(self._metrics.handle)
-            self.bus.retain_records = False
+        out = Path(config.out_dir)
+        base = f"{spec.kind}-seed{spec.seed}-{spec_key(spec)[:12]}"
+        self.trace_path = out / f"{base}.trace.jsonl"
+        self.metrics_path = out / f"{base}.metrics.json"
+        # Both sinks see every record the topic filter keeps, in order:
+        # the spiller applies the ring cap itself, the metrics fold is
+        # uncapped.
+        self._spiller = TraceSpiller(
+            self.trace_path, window=config.window, cap=config.cap
+        )
+        self._metrics = TraceMetrics()
+        self.bus.add_sink(self._spiller.add)
+        self.bus.add_sink(self._metrics.handle)
+        self.bus.retain_records = False
 
     def __enter__(self) -> "RunCapture":
         global _current
@@ -185,35 +187,15 @@ class RunCapture:
     def __exit__(self, exc_type, *exc) -> None:
         global _current
         _current = self._previous
-        if exc_type is not None and self._spiller is not None:
+        if exc_type is not None:
             self._spiller.abort()
 
-    def artifact_base(self, spec) -> str:
-        # Imported lazily: repro.runner imports repro.obs.capture at
-        # module load (via kinds), so the reverse edge must not run at
-        # import time.
-        from ..runner.spec import spec_key
-
-        return f"{spec.kind}-seed{spec.seed}-{spec_key(spec)[:12]}"
-
-    def finish(self, spec=None) -> Tuple[Path, Path]:
+    def finish(self) -> Tuple[Path, Path]:
         """Write the run's trace JSONL and metrics JSON; returns paths."""
-        if self._spiller is not None:
-            assert self.trace_path is not None and self.metrics_path is not None
-            self._spiller.close()
-            snapshot = self._metrics.registry.snapshot()
-            trace_path, metrics_path = self.trace_path, self.metrics_path
-        else:
-            if spec is None:
-                raise TypeError("buffered RunCapture.finish() needs the spec")
-            out = Path(self.config.out_dir)
-            base = self.artifact_base(spec)
-            trace_path = out / f"{base}.trace.jsonl"
-            metrics_path = out / f"{base}.metrics.json"
-            write_jsonl(self.bus.records, trace_path, cap=self.config.cap)
-            snapshot = TraceMetrics().replay(self.bus.records).registry.snapshot()
-        metrics_path.parent.mkdir(parents=True, exist_ok=True)
-        metrics_path.write_text(
+        self._spiller.close()
+        snapshot = self._metrics.registry.snapshot()
+        self.metrics_path.parent.mkdir(parents=True, exist_ok=True)
+        self.metrics_path.write_text(
             json.dumps(snapshot, sort_keys=True, indent=1), encoding="utf-8"
         )
-        return trace_path, metrics_path
+        return self.trace_path, self.metrics_path

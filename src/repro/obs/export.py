@@ -15,15 +15,14 @@ Two formats, one source of truth (:class:`~repro.sim.tracing.TraceRecord`):
 from __future__ import annotations
 
 import json
-from collections import deque
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim.tracing import TraceRecord
 
 __all__ = [
     "TopicFilter",
-    "JsonlTraceWriter",
     "encode_record",
     "decode_record",
     "write_jsonl",
@@ -55,13 +54,60 @@ class TopicFilter:
         return any(topic.startswith(p) for p in self.prefixes)
 
 
-def encode_record(record: TraceRecord) -> str:
-    """Canonical one-line JSON for a record (byte-stable re-export)."""
-    return json.dumps(
-        {"time": record.time, "topic": record.topic, "payload": record.payload},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+#: Encodes every value the fast paths below do not take: one encoder,
+#: configured like the reference ``json.dumps`` call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_INF = float("inf")
+
+
+def _float(value: float) -> str:
+    return float.__repr__(value) if -_INF < value < _INF else _encode(value)
+
+
+#: Exact value types encoded without ``_encode`` (or, for a non-empty
+#: list, with it), to the text it would give them.  Subclasses (bool,
+#: numpy scalars) are not exact matches.
+_FAST = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+         list: lambda value: _encode(value) if value else "[]"}
+
+
+def _template(topic: str, payload: Dict[str, Any]) -> Tuple[str, Tuple[str, ...]]:
+    """The ``%``-format line and sorted payload keys of one record shape."""
+    def literal(text: str) -> str:
+        return encode_basestring_ascii(text).replace("%", "%%")
+
+    keys = tuple(sorted(payload))
+    fields = ",".join(literal(k) + ":%s" for k in keys)
+    return ('{"payload":{' + fields + '},"time":%s,"topic":' + literal(topic)
+            + "}"), keys
+
+
+def encode_record(record: TraceRecord,
+                  templates: Optional[Dict[tuple, tuple]] = None) -> str:
+    """Canonical one-line JSON for a record (byte-stable re-export).
+
+    The text is ``json.dumps({"time": .., "topic": .., "payload": ..},
+    sort_keys=True, separators=(",", ":"))``, formatted from a template
+    per (topic, payload keys) shape: the sorted, escaped key text is
+    built once per shape and kept in ``templates`` (pass one dict per
+    output stream), and exact str/int/float values and empty lists are
+    rendered directly.  Other values, and payloads with a non-``str``
+    key, go through the JSON encoder.
+    """
+    time, topic, payload = record
+    if type(topic) is str and type(payload) is dict:
+        if templates is None:
+            templates = {}
+        shape = (topic, tuple(payload))
+        template = templates.get(shape)
+        if template is None and all(type(k) is str for k in payload):
+            template = templates[shape] = _template(topic, payload)
+        if template is not None:
+            line, keys = template
+            values = [payload[k] for k in keys]
+            values.append(time)
+            return line % tuple([_FAST.get(type(v), _encode)(v) for v in values])
+    return _encode({"time": time, "topic": topic, "payload": payload})
 
 
 def decode_record(line: str) -> TraceRecord:
@@ -70,60 +116,16 @@ def decode_record(line: str) -> TraceRecord:
                        payload=obj["payload"])
 
 
-class JsonlTraceWriter:
-    """Streaming JSONL sink with a topic filter and a ring-buffer cap.
-
-    Usable as a trace-bus callback (it is callable) or fed explicitly
-    via :meth:`add`.  With ``cap`` set, only the *last* ``cap`` matching
-    records survive — bounding memory on long runs while keeping the
-    interesting tail (the paper's diagnosis windows sit at phase
-    boundaries, i.e. late in each phase).
-    """
-
-    def __init__(self, topics: Optional[Sequence[str]] = None,
-                 cap: Optional[int] = None):
-        if cap is not None and cap <= 0:
-            raise ValueError("cap must be positive (or None for unbounded)")
-        self.filter = TopicFilter(topics)
-        self._ring: Deque[TraceRecord] = deque(maxlen=cap)
-        self.dropped = 0
-
-    def __call__(self, record: TraceRecord) -> None:
-        self.add(record)
-
-    def add(self, record: TraceRecord) -> None:
-        if not self.filter.matches(record.topic):
-            return
-        if self._ring.maxlen is not None and len(self._ring) == self._ring.maxlen:
-            self.dropped += 1
-        self._ring.append(record)
-
-    def extend(self, records: Iterable[TraceRecord]) -> None:
-        for record in records:
-            self.add(record)
-
-    @property
-    def records(self) -> List[TraceRecord]:
-        return list(self._ring)
-
-    def flush(self, path: Path | str) -> int:
-        """Write the retained records to ``path``; returns the count."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
-            for record in self._ring:
-                fh.write(encode_record(record))
-                fh.write("\n")
-        return len(self._ring)
-
-
 def write_jsonl(records: Iterable[TraceRecord], path: Path | str,
                 topics: Optional[Sequence[str]] = None,
                 cap: Optional[int] = None) -> int:
     """One-shot export: filter, (optionally) cap, write; returns count."""
-    writer = JsonlTraceWriter(topics=topics, cap=cap)
-    writer.extend(records)
-    return writer.flush(path)
+    from .spill import TraceSpiller  # spill imports this module
+
+    spiller = TraceSpiller(path, cap=cap, topics=topics)
+    for record in records:
+        spiller.add(record)
+    return spiller.close()
 
 
 def load_jsonl(path: Path | str) -> List[TraceRecord]:

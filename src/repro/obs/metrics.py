@@ -136,20 +136,21 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
+    # Get, then create on a miss: most calls hit, and a hit allocates nothing.
     def counter(self, name: str, **labels: Any) -> Counter:
-        return self._counters.setdefault(_key(name, labels), Counter())
+        key = _key(name, labels)
+        return self._counters.get(key) or self._counters.setdefault(key, Counter())
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._gauges.setdefault(_key(name, labels), Gauge())
+        key = _key(name, labels)
+        return self._gauges.get(key) or self._gauges.setdefault(key, Gauge())
 
     def histogram(self, name: str,
                   buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
                   **labels: Any) -> Histogram:
         key = _key(name, labels)
-        hist = self._histograms.get(key)
-        if hist is None:
-            hist = self._histograms[key] = Histogram(buckets)
-        return hist
+        return self._histograms.get(key) or \
+            self._histograms.setdefault(key, Histogram(buckets))
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-able, deterministically ordered dump of every metric."""
@@ -211,6 +212,9 @@ class TraceMetrics:
         self.registry = registry or MetricsRegistry()
         #: Submit time per (device, rid), for dispatch-latency histograms.
         self._pending: Dict[Tuple[str, int], float] = {}
+        #: The metrics each hot topic updates, per (topic, label value):
+        #: rendering a registry key costs more than the update itself.
+        self._bound: Dict[Any, Any] = {}
 
     # -- wiring -------------------------------------------------------------------
     def replay(self, records: Iterable[TraceRecord]) -> "TraceMetrics":
@@ -220,31 +224,66 @@ class TraceMetrics:
 
     # -- the taxonomy --------------------------------------------------------------
     def handle(self, record: TraceRecord) -> None:
-        topic, p, reg = record.topic, record.payload, self.registry
+        time, topic, p = record
+        reg, bound = self.registry, self._bound
         if topic == "disk.submit":
             device = p["device"]
-            reg.counter("disk.submitted", device=device).inc()
-            reg.gauge("disk.queue_depth", device=device).add(1)
-            self._pending[(device, p["rid"])] = record.time
+            submitted, depth = bound.get((topic, device)) or bound.setdefault(
+                (topic, device), (reg.counter("disk.submitted", device=device),
+                                  reg.gauge("disk.queue_depth", device=device)))
+            submitted.inc()
+            depth.add(1)
+            self._pending[(device, p["rid"])] = time
         elif topic == "disk.complete":
             device = p["device"]
+            completed, merged_n, nbytes, depth, hist = bound.get(
+                (topic, device)) or bound.setdefault((topic, device), (
+                    reg.counter("disk.completed", device=device),
+                    reg.counter("disk.merged", device=device),
+                    reg.counter("disk.bytes", device=device),
+                    reg.gauge("disk.queue_depth", device=device),
+                    reg.histogram("disk.latency", device=device)))
             merged = list(p.get("merged_rids", ()))
             served = 1 + len(merged)
-            reg.counter("disk.completed", device=device).inc(served)
-            reg.counter("disk.merged", device=device).inc(len(merged))
-            reg.counter("disk.bytes", device=device).inc(p.get("nbytes", 0))
-            reg.gauge("disk.queue_depth", device=device).add(-served)
-            hist = reg.histogram("disk.latency", device=device)
+            completed.inc(served)
+            merged_n.inc(len(merged))
+            nbytes.inc(p.get("nbytes", 0))
+            depth.add(-served)
             for rid in [p["rid"], *merged]:
                 submitted = self._pending.pop((device, rid), None)
                 if submitted is not None:
-                    hist.observe(record.time - submitted)
+                    hist.observe(time - submitted)
         elif topic == "disk.service":
             device = p["device"]
-            reg.counter("disk.busy_seconds", device=device).inc(p["service"])
-            reg.counter("disk.seek_seconds", device=device).inc(p["seek"])
-            reg.counter("disk.rotation_seconds", device=device).inc(p["rotation"])
-            reg.counter("disk.transfer_seconds", device=device).inc(p["transfer"])
+            busy, seek, rotation, transfer = bound.get(
+                (topic, device)) or bound.setdefault((topic, device), (
+                    reg.counter("disk.busy_seconds", device=device),
+                    reg.counter("disk.seek_seconds", device=device),
+                    reg.counter("disk.rotation_seconds", device=device),
+                    reg.counter("disk.transfer_seconds", device=device)))
+            busy.inc(p["service"])
+            seek.inc(p["seek"])
+            rotation.inc(p["rotation"])
+            transfer.inc(p["transfer"])
+        elif topic in ("fs.read", "fs.write"):
+            vm, op = p["vm"], topic[len("fs."):]
+            ops, nbytes = bound.get((topic, vm)) or bound.setdefault(
+                (topic, vm), (reg.counter("fs.ops", vm=vm, op=op),
+                              reg.counter("fs.bytes", vm=vm, op=op)))
+            ops.inc()
+            nbytes.inc(p.get("length", 0))
+        elif topic == "shuffle.fetch":
+            fetches, nbytes, remaining = bound.get(topic) or bound.setdefault(
+                topic, (reg.counter("shuffle.fetches"), reg.counter("shuffle.bytes"),
+                        reg.gauge("shuffle.fetches_remaining")))
+            fetches.inc()
+            nbytes.inc(p.get("nbytes", 0))
+            remaining.set(p.get("remaining", 0))
+        elif topic == "ssd.channel":
+            key = (topic, p["device"], p["channel"])
+            backlog = bound.get(key) or bound.setdefault(key, reg.gauge(
+                "ssd.channel_backlog_s", device=key[1], channel=key[2]))
+            backlog.set(p["backlog"])
         elif topic == "disk.switched":
             device = p["device"]
             reg.counter("sched.switches", device=device).inc()
@@ -258,29 +297,18 @@ class TraceMetrics:
         elif topic == "ssd.writeback":
             device = p["device"]
             reg.counter("ssd.flushed_pages", device=device).inc(p.get("pages", 0))
-        elif topic == "ssd.channel":
-            reg.gauge("ssd.channel_backlog_s", device=p["device"],
-                      channel=p["channel"]).set(p["backlog"])
-        elif topic in ("fs.read", "fs.write"):
-            op = "read" if topic == "fs.read" else "write"
-            reg.counter("fs.ops", vm=p["vm"], op=op).inc()
-            reg.counter("fs.bytes", vm=p["vm"], op=op).inc(p.get("length", 0))
         elif topic == "cluster.set_pair":
             reg.counter("cluster.pair_switches").inc()
         elif topic == "job.start":
-            reg.gauge("job.start_time").set(record.time)
+            reg.gauge("job.start_time").set(time)
         elif topic == "job.map_finished":
             reg.counter("job.maps_finished").inc()
             if p.get("total"):
                 reg.gauge("job.map_progress").set(p["done"] / p["total"])
         elif topic == "job.maps_done":
-            reg.gauge("job.maps_done_time").set(record.time)
+            reg.gauge("job.maps_done_time").set(time)
         elif topic == "job.shuffle_done":
-            reg.gauge("job.shuffle_done_time").set(record.time)
-        elif topic == "shuffle.fetch":
-            reg.counter("shuffle.fetches").inc()
-            reg.counter("shuffle.bytes").inc(p.get("nbytes", 0))
-            reg.gauge("shuffle.fetches_remaining").set(p.get("remaining", 0))
+            reg.gauge("job.shuffle_done_time").set(time)
         elif topic == "ctrl.phase":
             reg.counter("ctrl.boundaries", boundary=p["boundary"]).inc()
         elif topic == "ctrl.decision":
@@ -293,7 +321,7 @@ class TraceMetrics:
         elif topic == "job.reduce_finished":
             reg.counter("job.reduces_finished").inc()
         elif topic == "job.done":
-            reg.gauge("job.end_time").set(record.time)
+            reg.gauge("job.end_time").set(time)
         elif topic == "sched.job_admitted":
             reg.counter("sched.jobs_admitted", tenant=p["tenant"]).inc()
             reg.gauge("sched.jobs_live").add(1)

@@ -3,22 +3,21 @@
 :class:`TraceSpiller` is the streaming replacement for buffering a whole
 run's trace in memory: it holds at most ``window`` records (or ``cap``
 records when a ring-buffer cap is set) and appends canonical JSONL to
-its target file whenever the window fills.  The concatenated output is
-byte-identical to what the buffered path
-(:func:`repro.obs.export.write_jsonl` over the full record list) would
-have written — same records, same order, same canonical encoding —
-which is the equivalence ``tests/obs/test_spill.py`` pins across seeds.
+its target file whenever the window fills.  It is the only JSONL
+writer: :func:`repro.obs.export.write_jsonl` is its one-shot form, and
+the concatenated output is the canonical encoding of every kept record
+in order, whatever the window — the equivalence
+``tests/obs/test_spill.py`` pins against a reference loop.
 
 Two retention modes, matching :class:`~repro.obs.capture.CaptureConfig`:
 
 * ``cap is None`` (the default) — every record survives; memory is
   bounded by ``window`` and the file grows incrementally as windows
   flush.
-* ``cap`` set — only the *last* ``cap`` records survive (the ring
-  semantics of :class:`~repro.obs.export.JsonlTraceWriter`); memory is
-  bounded by ``cap`` and the file is written once at :meth:`close`,
-  because records at the head of the ring can still be evicted by
-  later arrivals.
+* ``cap`` set — only the *last* ``cap`` records survive (a ring);
+  memory is bounded by ``cap`` and the file is written once at
+  :meth:`close`, because records at the head of the ring can still be
+  evicted by later arrivals.
 
 The spiller writes to ``<path>.partial`` and renames on :meth:`close`,
 so a crashed run never leaves a file that looks like a complete trace.
@@ -29,7 +28,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from pathlib import Path
-from typing import Deque, Optional, Sequence
+from typing import Deque, Dict, Optional, Sequence
 
 from ..sim.tracing import TraceRecord
 from .export import TopicFilter, encode_record
@@ -45,11 +44,11 @@ DEFAULT_WINDOW = 4096
 class TraceSpiller:
     """Streaming JSONL sink with bounded memory.
 
-    Usable directly as a :meth:`TraceBus.add_sink <repro.sim.tracing.TraceBus.add_sink>`
-    callback (it is callable).  Typical life cycle::
+    :meth:`add` is a :meth:`TraceBus.add_sink <repro.sim.tracing.TraceBus.add_sink>`
+    callback.  Typical life cycle::
 
         spiller = TraceSpiller(path, window=4096)
-        bus.add_sink(spiller)
+        bus.add_sink(spiller.add)
         bus.retain_records = False      # the bus stays O(1) in run length
         ... run the simulation ...
         n = spiller.close()             # flush + rename .partial -> path
@@ -68,31 +67,28 @@ class TraceSpiller:
         self.filter = TopicFilter(topics)
         #: Records written to the file so far (excludes the open window).
         self.spilled = 0
-        #: Records evicted by the ring cap (mirrors JsonlTraceWriter).
+        #: Records evicted by the ring cap.
         self.dropped = 0
         #: Windows flushed to disk (1 at close even for short runs).
         self.flushes = 0
         self._ring: Deque[TraceRecord] = deque(maxlen=cap)
+        #: encode_record's per-shape templates for this file.
+        self._templates: Dict[tuple, tuple] = {}
         self._partial = self.path.with_name(self.path.name + ".partial")
         self._fh = None
         self._closed = False
 
     # -- ingestion ------------------------------------------------------------------
-    def __call__(self, record: TraceRecord) -> None:
-        self.add(record)
-
     def add(self, record: TraceRecord) -> None:
         if self._closed:
             raise RuntimeError("spiller is closed")
         if not self.filter.matches(record.topic):
             return
-        if self.cap is not None:
-            if len(self._ring) == self.cap:
-                self.dropped += 1
-            self._ring.append(record)
-            return
-        self._ring.append(record)
-        if len(self._ring) >= self.window:
+        ring = self._ring
+        if len(ring) == self.cap:
+            self.dropped += 1  # the ring evicts its oldest record
+        ring.append(record)
+        if self.cap is None and len(ring) >= self.window:
             self._flush_window()
 
     @property
@@ -101,18 +97,16 @@ class TraceSpiller:
         return len(self._ring)
 
     # -- the disk path --------------------------------------------------------------
-    def _open(self):
+    def _flush_window(self) -> None:
         if self._fh is None:
             self._partial.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self._partial.open("w", encoding="utf-8")
-        return self._fh
-
-    def _flush_window(self) -> None:
-        fh = self._open()
-        while self._ring:
-            fh.write(encode_record(self._ring.popleft()))
+        fh, ring, templates = self._fh, self._ring, self._templates
+        for record in ring:
+            fh.write(encode_record(record, templates))
             fh.write("\n")
-            self.spilled += 1
+        self.spilled += len(ring)
+        ring.clear()
         self.flushes += 1
 
     def close(self) -> int:

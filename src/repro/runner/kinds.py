@@ -82,7 +82,7 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
         return fn(spec.config, spec.seed)
     with capture.RunCapture(cfg, spec=spec) as cap:
         payload = fn(spec.config, spec.seed)
-    cap.finish(spec)
+    cap.finish()
     return payload
 
 

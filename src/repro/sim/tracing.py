@@ -16,9 +16,8 @@ which sits *below* the obs layer — depend on obs at import time.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, DefaultDict, Dict, FrozenSet, List, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Tuple
 
 __all__ = ["TraceBus", "TraceRecord", "IntervalSampler", "known_topics"]
 
@@ -34,9 +33,8 @@ def known_topics() -> FrozenSet[str]:
     return REGISTERED_TOPICS
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One published trace event."""
+class TraceRecord(NamedTuple):
+    """One published trace event (a tuple: the cheapest immutable record)."""
 
     time: float
     topic: str
@@ -58,9 +56,6 @@ class TraceBus:
         #: the capture spiller runs in.
         self.retain_records = True
         self.records: List[TraceRecord] = []
-        #: Per-topic view of ``records`` so ``recorded(topic)`` does not
-        #: rescan every record ever published.
-        self._by_topic: DefaultDict[str, List[TraceRecord]] = defaultdict(list)
         #: Memoised _should_record decisions, one per topic seen; reset
         #: whenever record_topic() widens the recorded set.  This keeps
         #: publish() on un-recorded topics a cheap dict probe instead of
@@ -119,7 +114,6 @@ class TraceBus:
         recording the same topics afterwards, from an empty buffer.
         """
         self.records.clear()
-        self._by_topic.clear()
 
     def publish(self, time: float, topic: str, **payload: Any) -> None:
         """Publish a record; cheap no-op on topics nobody records."""
@@ -131,13 +125,12 @@ class TraceBus:
         record = TraceRecord(time, topic, payload)
         if self.retain_records:
             self.records.append(record)
-            self._by_topic[topic].append(record)
         for sink in self._sinks:
             sink(record)
 
     def recorded(self, topic: str) -> List[TraceRecord]:
         """All recorded records for ``topic`` in publication order."""
-        return list(self._by_topic.get(topic, ()))
+        return [record for record in self.records if record.topic == topic]
 
 
 @dataclass

@@ -5,14 +5,20 @@ once per concern; everything is ``jobs=1`` so capture state stays in
 this process.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from repro.api import ControlledScenario, MultiJobScenario, scaled_testbed
+from repro.core.solution import Solution
 from repro.obs import capture
 from repro.obs.export import load_jsonl
 from repro.runner import RunSpec
 from repro.runner.kinds import execute_spec
+from repro.virt.pair import DEFAULT_PAIR
+from repro.workloads.arrivals import SizeClass
+from repro.workloads.profiles import SORT
 from tests.integration.test_golden_digest import (
     GOLDEN_DIGEST,
     PINNED_DIGESTS,
@@ -24,13 +30,90 @@ from tests.integration.test_golden_digest import (
 
 @pytest.fixture
 def clean_capture_env(monkeypatch):
-    monkeypatch.delenv(capture.ENV_TRACE_OUT, raising=False)
-    monkeypatch.delenv(capture.ENV_TRACE_TOPICS, raising=False)
+    for name in (capture.ENV_TRACE_OUT, capture.ENV_TRACE_TOPICS,
+                 capture.ENV_TRACE_CAP, capture.ENV_TRACE_WINDOW):
+        monkeypatch.delenv(name, raising=False)
 
 
 def golden_spec():
     testbed, solution = golden_config()
     return RunSpec(kind="job", seed=0, config=(testbed, solution))
+
+
+# -- artifact pins ------------------------------------------------------------------
+
+#: sha256 of the ``.trace.jsonl`` and the ``.metrics.json`` a full-topic
+#: capture writes for each run below.  The payload digests pin what a run
+#: computes; these pin the bytes capture writes about it, so a change to
+#: the encoder, the spiller or the metrics fold that alters one byte of
+#: an artifact fails here.
+ARTIFACT_PINS = {
+    "job": (
+        "c222381cb713e41311217f3172b96206ec8ea00f77937a3a9a3689399a354cd8",
+        "61747c0fbc2d9fc18d9801affcec7711a46c82196882e7cb3cf52760487564c1",
+    ),
+    "faulty_job_light": (
+        "cb9f8f139906ad7613292ef9b6760394eba45db83ca66e8a1587fd9b9146b837",
+        "6c5f70557b88171435c7ca3a5ef2edfbe837acd81152e2e3fb475bcb7a322a7f",
+    ),
+    "controlled_job_greedy": (
+        "99fba80c96b7526cc6054b17fc4c48e9cff30bcd6f18530bb07f611c4e113cad",
+        "93dd2ff27ce87e9b1e3574c25e7d7a52b7ac1c924a7efceef70068a84d124606",
+    ),
+    "multi_job": (
+        "68ed85b4944e8b029e5cc3f4cb6711a1ad6b7c3b5796c5bc596d535ef39ca94a",
+        "b837cf6d32a61f7706b6a9452308a7267f92d5decd68fde01df551ba2b0e936c",
+    ),
+    "ssd_job": (
+        "ba39f9db5e74a4b7a292af7f533ebc06a369e1ad86fa9487fb7cc35fa3fc221c",
+        "eb752e99cb2ae6cca66c311bda3dc7a3a1ed75e12a8cf294c3a2b79a90be20e8",
+    ),
+}
+
+
+def artifact_spec(name):
+    if name == "job":
+        return golden_spec()
+    if name == "faulty_job_light":
+        return pinned_spec("faulty_job_cc_ad_light")
+    if name == "controlled_job_greedy":
+        return ControlledScenario(
+            workload="sort", scale=0.05, hosts=2, vms_per_host=2,
+            controller="greedy", initial="cc", phase_pairs=("cc", "ad"),
+        ).to_spec(seed=0)
+    if name == "multi_job":
+        # sched.* and tenant.* topics: two overlapping jobs, two tenants.
+        return MultiJobScenario(
+            workload="sort", scale=0.05, hosts=2, vms_per_host=2,
+            scheduler="fair", n_jobs=2, arrival_rate=1.0,
+            size_mix=(SizeClass("medium", weight=1.0, bytes_factor=1.0),),
+        ).to_spec(seed=0)
+    assert name == "ssd_job"
+    testbed = scaled_testbed(SORT, scale=0.02, hosts=1, vms_per_host=2,
+                             seeds=(0,), storage="ssd")
+    return RunSpec(kind="job", seed=0,
+                   config=(testbed, Solution.uniform(DEFAULT_PAIR, 2)))
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def captured_artifacts(name, out_dir):
+    capture.enable(out_dir)
+    try:
+        execute_spec(artifact_spec(name))
+    finally:
+        capture.disable()
+    [trace] = sorted(out_dir.glob("*.trace.jsonl"))
+    [metrics] = sorted(out_dir.glob("*.metrics.json"))
+    return trace, metrics
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_PINS))
+def test_capture_artifacts_match_pins(clean_capture_env, tmp_path, name):
+    trace, metrics = captured_artifacts(name, tmp_path)
+    assert (sha256(trace), sha256(metrics)) == ARTIFACT_PINS[name], name
 
 
 def test_config_from_env_roundtrip(clean_capture_env, tmp_path):
@@ -45,10 +128,36 @@ def test_config_from_env_roundtrip(clean_capture_env, tmp_path):
     assert capture.config_from_env() is None
 
 
+@pytest.mark.parametrize("size", ["cap", "window"])
+def test_enable_rejects_nonpositive_sizes(clean_capture_env, tmp_path, size):
+    with pytest.raises(ValueError,
+                       match=f"^{size} must be a positive integer, got 0$"):
+        capture.enable(tmp_path, **{size: 0})
+    # Nothing half-enabled: the runs that follow are untraced.
+    assert capture.config_from_env() is None
+
+
+def test_env_size_must_be_positive(clean_capture_env, monkeypatch, tmp_path):
+    # Rejected where the environment is read, naming the variable, not
+    # inside every run's spiller.
+    monkeypatch.setenv(capture.ENV_TRACE_OUT, str(tmp_path))
+    monkeypatch.setenv(capture.ENV_TRACE_WINDOW, "-3")
+    with pytest.raises(ValueError, match=r"^\$REPRO_TRACE_WINDOW must be a "
+                       r"positive integer, got -3$"):
+        capture.config_from_env()
+
+
+@pytest.mark.parametrize("size", ["cap", "window"])
+def test_capture_config_rejects_nonpositive_sizes(size):
+    with pytest.raises(ValueError,
+                       match=f"^{size} must be a positive integer, got -1$"):
+        capture.CaptureConfig(out_dir="out", **{size: -1})
+
+
 def test_run_capture_scopes_current_bus(tmp_path):
     cfg = capture.CaptureConfig(out_dir=str(tmp_path))
     assert capture.current_bus() is None
-    with capture.RunCapture(cfg) as cap:
+    with capture.RunCapture(cfg, golden_spec()) as cap:
         assert capture.current_bus() is cap.bus
     assert capture.current_bus() is None
 

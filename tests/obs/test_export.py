@@ -1,11 +1,14 @@
-"""Trace export: JSONL round-trip determinism and Chrome trace shape."""
+"""Trace export: the canonical encoder, JSONL round-trip determinism
+and Chrome trace shape."""
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.export import (
-    JsonlTraceWriter,
     TopicFilter,
     decode_record,
     encode_record,
@@ -14,6 +17,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.spill import TraceSpiller
 from repro.sim.tracing import TraceRecord
 
 
@@ -52,18 +56,112 @@ def test_topic_filter_globs():
 
 
 def test_writer_filters_and_caps(tmp_path):
-    writer = JsonlTraceWriter(topics=["disk.*"], cap=2)
-    writer.extend(SAMPLE)
-    kept = writer.records
+    spiller = TraceSpiller(tmp_path / "t.jsonl", topics=["disk.*"], cap=2)
+    for record in SAMPLE:
+        spiller.add(record)
     # Only disk topics pass the filter; only the last 2 survive the cap.
+    assert spiller.dropped == 2
+    assert spiller.close() == 2
+    kept = load_jsonl(tmp_path / "t.jsonl")
     assert [r.topic for r in kept] == ["disk.complete", "disk.switched"]
-    assert writer.dropped == 2
-    assert writer.flush(tmp_path / "t.jsonl") == 2
+    # write_jsonl is the same writer in one call.
+    assert write_jsonl(SAMPLE, tmp_path / "w.jsonl", ["disk.*"], cap=2) == 2
+    assert (tmp_path / "w.jsonl").read_bytes() == \
+        (tmp_path / "t.jsonl").read_bytes()
 
 
-def test_writer_rejects_nonpositive_cap():
+def test_writer_rejects_nonpositive_cap(tmp_path):
     with pytest.raises(ValueError):
-        JsonlTraceWriter(cap=0)
+        TraceSpiller(tmp_path / "t.jsonl", cap=0)
+    with pytest.raises(ValueError):
+        write_jsonl(SAMPLE, tmp_path / "t.jsonl", cap=0)
+
+
+# -- the canonical encoder ------------------------------------------------------------
+
+
+def reference_encode(record):
+    """The canonical line, spelled the slow, obvious way."""
+    return json.dumps(
+        {"time": record.time, "topic": record.topic, "payload": record.payload},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def assert_encodes_like_reference(record, templates):
+    """Same text as the reference, or the same exception type."""
+    try:
+        expected = reference_encode(record)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            encode_record(record, templates)
+    else:
+        assert encode_record(record, templates) == expected
+
+
+class Rid(int):
+    """An int subclass: json renders it through int.__repr__."""
+
+
+#: Strings that need escaping (or would break a %-format) in keys,
+#: topics and values.
+AWKWARD = st.sampled_from(['%s', '100%', '"q"', "back\\slash", "tab\t",
+                           "nul\x00", "caf\u00e9", "\u2603", "\U0001f600"])
+TEXT = st.text(max_size=8) | AWKWARD
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-(2 ** 200), max_value=2 ** 200),
+    st.integers(min_value=0, max_value=2 ** 40).map(Rid),
+    st.floats(), st.sampled_from([-0.0, float("nan"), float("inf"),
+                                  float("-inf")]),
+    st.floats(allow_nan=False).map(np.float64), TEXT,
+    # json.dumps rejects both: the encoder must raise the same type.
+    st.sampled_from([np.int64(7), {1, 2}]),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(TEXT | st.integers(), inner, max_size=4)),
+    max_leaves=8,
+)
+TIMES = st.floats() | st.integers() | st.floats(allow_nan=False).map(np.float64)
+TOPICS = st.sampled_from(["disk.submit", "fs.read"]) | TEXT
+
+
+@settings(max_examples=300, deadline=None)
+@given(TIMES, TOPICS,
+       st.dictionaries(TEXT, VALUES, max_size=6)
+       | st.dictionaries(st.integers() | st.floats() | st.booleans()
+                         | st.none() | TEXT, SCALARS, max_size=4))
+def test_encoder_matches_reference(time, topic, payload):
+    record = TraceRecord(time=time, topic=topic, payload=payload)
+    assert_encodes_like_reference(record, None)
+    templates = {}
+    assert_encodes_like_reference(record, templates)  # learns the shape
+    assert_encodes_like_reference(record, templates)  # reuses it
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(TIMES, VALUES, VALUES), min_size=2, max_size=6))
+def test_template_cache_does_not_pin_value_types(rows):
+    # One shape, whatever the values: a template learned from one
+    # record must render the next one's types as the reference does.
+    templates = {}
+    for time, rid, device in rows:
+        record = TraceRecord(time, "disk.submit", {"rid": rid, "device": device})
+        assert_encodes_like_reference(record, templates)
+    assert len(templates) == 1
+
+
+@pytest.mark.parametrize("value", [np.int64(7), {1, 2}])
+def test_encoder_rejects_what_json_rejects(value):
+    record = rec(0.0, "disk.submit", rid=value)
+    with pytest.raises(TypeError):
+        reference_encode(record)
+    with pytest.raises(TypeError):
+        encode_record(record, {})
 
 
 # -- JSONL round-trip (the determinism guard) ---------------------------------------

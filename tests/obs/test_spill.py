@@ -1,21 +1,22 @@
-"""TraceSpiller: streamed output must equal the buffered path, byte for byte.
+"""TraceSpiller: streamed output must equal a buffered reference, byte for byte.
 
 The cheap tests drive synthetic record streams (seeded, so three
 distinct shapes) through every window size that matters — 1 (flush per
 record), a window that divides the stream length, one that doesn't, and
-one larger than the stream — and compare the file bytes against
-:func:`repro.obs.export.write_jsonl` over the same records.  One
-integration test pins the same equivalence on a real captured run (see
-``tests/obs/test_capture.py`` for the execute_spec-level guards).
+one larger than the stream — and compare the file bytes against an
+in-test reference: filter, keep the last ``cap`` records, encode each
+with ``json.dumps`` (see ``tests/obs/test_capture.py`` for the pinned
+artifacts of real captured runs).
 """
 
 import random
 
 import pytest
 
-from repro.obs.export import load_jsonl, write_jsonl
+from repro.obs.export import load_jsonl
 from repro.obs.spill import DEFAULT_WINDOW, TraceSpiller
 from repro.sim.tracing import TraceRecord
+from tests.obs.test_export import reference_encode
 
 TOPICS = ("disk.submit", "disk.complete", "fs.read", "job.start", "job.done")
 
@@ -34,10 +35,19 @@ def synthetic_records(seed, n=1000):
     return records
 
 
+def reference_bytes(records, keep=lambda topic: True, cap=None):
+    """What a spiller must write: every kept record (the last ``cap``
+    of them when capped), one reference line each."""
+    kept = [r for r in records if keep(r.topic)]
+    if cap is not None:
+        kept = kept[-cap:]
+    return "".join(reference_encode(r) + "\n" for r in kept).encode()
+
+
 def spill(records, path, **kwargs):
     spiller = TraceSpiller(path, **kwargs)
     for record in records:
-        spiller(record)
+        spiller.add(record)
     return spiller
 
 
@@ -45,38 +55,34 @@ def spill(records, path, **kwargs):
 @pytest.mark.parametrize("window", [1, 100, 333, 5000])
 def test_spilled_bytes_equal_buffered_bytes(tmp_path, seed, window):
     records = synthetic_records(seed)
-    buffered = tmp_path / "buffered.jsonl"
     streamed = tmp_path / "streamed.jsonl"
-    write_jsonl(records, buffered)
 
     spiller = spill(records, streamed, window=window)
     assert spiller.buffered <= window
     n = spiller.close()
     assert n == len(records)
-    assert streamed.read_bytes() == buffered.read_bytes()
+    assert streamed.read_bytes() == reference_bytes(records)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("cap", [1, 17, 999, 1000, 4096])
 def test_cap_keeps_the_ring_tail_like_the_buffered_writer(tmp_path, seed, cap):
     records = synthetic_records(seed)
-    buffered = tmp_path / "buffered.jsonl"
     streamed = tmp_path / "streamed.jsonl"
-    write_jsonl(records, buffered, cap=cap)
 
     spiller = spill(records, streamed, cap=cap)
     assert spiller.buffered == min(cap, len(records))
     n = spiller.close()
     assert n == min(cap, len(records))
     assert spiller.dropped == max(0, len(records) - cap)
-    assert streamed.read_bytes() == buffered.read_bytes()
+    assert streamed.read_bytes() == reference_bytes(records, cap=cap)
 
 
 def test_window_flushes_bound_memory(tmp_path):
     records = synthetic_records(0, n=250)
     spiller = TraceSpiller(tmp_path / "t.jsonl", window=100)
     for record in records:
-        spiller(record)
+        spiller.add(record)
         assert spiller.buffered < 100  # the window flushes *at* 100
     # 250 records at window 100: two mid-run flushes, 50 still open.
     assert spiller.flushes == 2
@@ -89,13 +95,12 @@ def test_window_flushes_bound_memory(tmp_path):
 def test_topic_filter_applies_before_the_window(tmp_path):
     records = synthetic_records(0, n=200)
     kept = [r for r in records if r.topic.startswith("disk.")]
-    buffered = tmp_path / "buffered.jsonl"
     streamed = tmp_path / "streamed.jsonl"
-    write_jsonl(records, buffered, topics=("disk.*",))
 
     spiller = spill(records, streamed, window=7, topics=("disk.*",))
     assert spiller.close() == len(kept)
-    assert streamed.read_bytes() == buffered.read_bytes()
+    assert streamed.read_bytes() == reference_bytes(
+        records, keep=lambda topic: topic.startswith("disk."))
 
 
 def test_partial_file_until_close(tmp_path):
