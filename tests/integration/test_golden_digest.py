@@ -97,8 +97,9 @@ def test_inert_fault_plan_matches_golden_digest():
 #: policy (a 3-phase greedy run whose shuffle boundary fires while the
 #: first switch is still draining, a bandit with seeded state, a dwelling
 #: hysteresis run on SSDs with faults, a static run with co-tenant
-#: interference), and a dd run that switches mid-flight.  All on the
-#: 2x2 testbed at scale 0.05.
+#: interference), a dd run that switches mid-flight, and a three-job
+#: ``multi_job`` stream under every job scheduler, a cluster-scope
+#: switch plan and SSDs.  All on the 2x2 testbed at scale 0.05.
 PINNED_DIGESTS = {
     "job_cc_ad":
         "d0b2f7dc22899b4d634b7dd5f456618b88a85a1242167f23137c839022521730",
@@ -128,7 +129,28 @@ PINNED_DIGESTS = {
         "080e5553f60d257edf211d5c1d73fcc4896c28ae0b9d51870992c0ccd71166af",
     "job_cc_none_dd":
         "2553ea9744c358cdeb6180e44f77680b21056b37442300ba63cb2f1ccabb5d5e",
+    "multi_job_fifo":
+        "8f167eb150f11f3aee9be711cf79c0e7e3b64ea160de6c4bc2c826dcbb66bacd",
+    "multi_job_fair":
+        "4ec4ab07015b385d5adf8f38b17d0603b9cd13298337a7a4d7a0a6577afd5f01",
+    "multi_job_capacity":
+        "e6dcc146f50a423b60542c8a8eb3ad132cd1a20df35ee069410aaf3d7cdbf1c9",
+    "multi_job_sjf":
+        "4be00fc8c1ad1ff47bc268285a71677a403fddcc97f17b47bac7c8b8ec17fc01",
+    "multi_job_switch_ad_cc":
+        "cae1df01f8ffcede39f53a9e11f9079718f54b58a79e90b3d7bba1a6a2a47d58",
+    "multi_job_ssd":
+        "3a82edc34c412a463a8bc04ecd54887e0f602c05a498811f0eaa66504568f8a8",
 }
+
+
+def multi_job_config(**overrides):
+    from repro.api import MultiJobScenario
+
+    return MultiJobScenario(
+        workload="sort", scale=0.05, hosts=2, vms_per_host=2, n_jobs=3,
+        arrival_rate=1.0, **overrides,
+    ).multi_job_config()
 
 
 def pinned_spec(name):
@@ -191,6 +213,14 @@ def pinned_spec(name):
             testbed, Solution((cc, ad)), get_preset("light"))),
         "job_cc_none_dd": ("job", (testbed.with_(n_phases=3),
                                    Solution((cc, None, dd)))),
+        "multi_job_fifo": ("multi_job", multi_job_config()),
+        "multi_job_fair": ("multi_job", multi_job_config(scheduler="fair")),
+        "multi_job_capacity": ("multi_job",
+                               multi_job_config(scheduler="capacity")),
+        "multi_job_sjf": ("multi_job", multi_job_config(scheduler="sjf")),
+        "multi_job_switch_ad_cc": ("multi_job",
+                                   multi_job_config(switch=("ad", "cc"))),
+        "multi_job_ssd": ("multi_job", multi_job_config(storage="ssd")),
     }
     kind, config = configs[name]
     return RunSpec(kind=kind, seed=0, config=config, label=f"pin {name}")
