@@ -311,13 +311,6 @@ class ElevatorQueue(abc.ABC):
                 self._wakeup = Event(env)
                 yield self._wakeup
 
-    def _next_decision(self) -> DispatchDecision:
-        if self._drain_fifo:
-            return DispatchDecision(request=self._drain_fifo.popleft())
-        if self._switching:
-            return DispatchDecision()  # held requests wait out the switch
-        return self.scheduler.next_request(self.env._now)
-
     def _completed(self, request: BlockRequest) -> None:
         """Common completion path: notify scheduler, waiters, tracing."""
         now = self.env._now

@@ -294,7 +294,3 @@ class AnticipatoryScheduler(IOScheduler):
     def _fifo_expired(self, op: IoOp, now: float) -> bool:
         fifo = self._fifo[op]
         return bool(fifo) and fifo[0].deadline is not None and fifo[0].deadline <= now
-
-    def _deadline_pressure(self, now: float) -> bool:
-        """True if any FIFO head has expired (anticipation must yield)."""
-        return self._fifo_expired(IoOp.READ, now) or self._fifo_expired(IoOp.WRITE, now)

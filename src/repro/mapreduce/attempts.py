@@ -28,6 +28,7 @@ scheduling order and of every pre-existing stream.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from ..sim.events import Event
@@ -304,7 +305,7 @@ class AttemptManager:
         task = attempt.task
         new_vm = self._replace_reduce_vm(task.vm_id)
         if new_vm != task.vm_id:
-            task = ReduceTask(reducer_idx=task.reducer_idx, vm_id=new_vm)
+            task = replace(task, vm_id=new_vm)
         if self.trace is not None:
             self.trace.publish(
                 self.env.now, "task.retry", kind="reduce",

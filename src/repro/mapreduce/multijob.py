@@ -1,30 +1,32 @@
-"""Multi-tenant control plane: N concurrent jobs over shared slots.
+"""The job runtime: every job's tasks run on shared per-VM slot workers.
 
-The single-job :class:`~repro.mapreduce.jobtracker.MapReduceJob` owns
-its slot workers outright.  In a consolidated cluster the interesting
-dynamics are *between* jobs: one tenant's map wave overlapping
-another's shuffle tail, job-level schedulers arbitrating slot access,
-and the winning elevator pair flipping with the cluster-wide phase mix.
-:class:`MultiJobTracker` is a JobTracker-level multiplexer for exactly
-that: it owns the per-VM map/reduce slot pools and admits tasks from
-every live job through a pluggable job-level scheduler (FIFO,
-fair-share, capacity, shortest-job-first), with an arrival stream
-(:mod:`repro.workloads.arrivals`) feeding it jobs over simulated time.
+:class:`MultiJobTracker` owns the per-VM map and reduce slot workers.
+It runs a single :class:`~repro.mapreduce.jobtracker.MapReduceJob` as
+its only, untagged job (that is what ``MapReduceJob.start`` does), and
+a ``multi_job`` run's arrival stream (:mod:`repro.workloads.arrivals`)
+as tagged jobs admitted over simulated time.  In a consolidated cluster
+the interesting dynamics are *between* jobs: one tenant's map wave
+overlapping another's shuffle tail, job-level schedulers arbitrating
+slot access (FIFO, fair-share, capacity, shortest-job-first), and the
+winning elevator pair flipping with the cluster-wide phase mix.
 
 Design notes:
 
-* Each admitted job gets the same per-job machinery the single-job path
-  builds — a :class:`~repro.mapreduce.jobtracker.JobContext`, a
-  :class:`~repro.mapreduce.jobtracker.TaskPool`, a
-  :class:`~repro.mapreduce.shuffle.ShuffleService`, its own HDFS
-  input/output namespace and CPU-noise RNG stream — and runs the
-  unmodified task generators.  One admitted job under FIFO therefore
-  behaves exactly like ``MapReduceJob`` modulo scratch-file tags.
+* Every job is a ``MapReduceJob``: its ``prepare`` builds the per-job
+  machinery (HDFS input/output, task pool, shuffle, task context,
+  attempt manager, CPU-noise stream) and every claim goes through its
+  :class:`~repro.mapreduce.attempts.AttemptManager`.  A multiplexed job
+  differs from a single one only in identity: a ``j<id>`` tag on its
+  records and scratch names, its own ``job<id>.cpu_noise`` stream,
+  globally unique task ids and an untraced shuffle.
+* Slot counts come from the job configuration: ``map_slots`` map
+  workers and ``reducers_per_vm`` reduce workers per VM.
 * Slot workers never busy-wait: a worker that finds no eligible task
-  parks on a wake event that admission and task completion trigger.
+  parks on a wake event that admission, task completion and a job's
+  slowstart gate trigger.  A claim that returns an event (a job with an
+  active fault plan whose retries may still appear) parks on that.
 * Reduce slots are claimable only once a job's slowstart gate
-  (``reducers_may_start``) has opened, so shuffle overlap follows the
-  same policy as the single-job tracker.
+  (``reducers_may_start``) has opened.
 * The optional :class:`SwitchPlan` applies the paper's adaptive idea at
   cluster scope: while the majority of live jobs are in their map
   phase, run ``map_pair``; once the mix tips into shuffle/reduce
@@ -45,22 +47,23 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
-from ..hdfs.datanode import DataNodeService
 from ..hdfs.namenode import NameNode
 from ..sim.events import AllOf, Event
 from ..virt.cluster import ClusterConfig
 from ..virt.pair import SchedulerPair
+from .attempts import TaskAttempt
 from .job import JobConfig
-from .jobtracker import JobContext, TaskPool
-from .map_task import MapTask, map_task_proc
+from .jobtracker import MapReduceJob
+from .map_task import map_task_proc
 from .reduce_task import ReduceTask, reduce_task_proc
-from .shuffle import ShuffleService
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.topology import Topology
     from ..sim.core import Environment
+    from ..sim.process import Process
     from ..sim.tracing import TraceBus
     from ..virt.cluster import VirtualCluster
     from ..workloads.arrivals import ArrivalConfig, JobArrival
@@ -192,15 +195,14 @@ class MultiJobConfig:
     into the sweep cache key; the ``multi_job`` run kind executes it.
     ``base_job`` is the template every arrival instantiates (the size
     class scales its ``bytes_per_vm``; input/output paths get per-job
-    suffixes).
+    suffixes); its ``map_slots`` and ``reducers_per_vm`` set the slot
+    workers per VM.
     """
 
     cluster: ClusterConfig
     base_job: JobConfig
     arrivals: "ArrivalConfig"
     scheduler: str = "fifo"
-    map_slots_per_vm: int = 2
-    reduce_slots_per_vm: int = 2
     switch_plan: Optional[SwitchPlan] = None
 
     def __post_init__(self) -> None:
@@ -209,38 +211,26 @@ class MultiJobConfig:
                 f"unknown job scheduler {self.scheduler!r}; choose from "
                 f"{sorted(JOB_SCHEDULERS)}"
             )
-        if self.map_slots_per_vm < 1 or self.reduce_slots_per_vm < 1:
-            raise ValueError("slot counts must be >= 1")
 
 
 # -- runtime state --------------------------------------------------------------------
 
 
 class LiveJob:
-    """One admitted job's runtime state under the multiplexer."""
+    """One admitted job's multiplexer state; the job itself is ``job``."""
 
-    def __init__(
-        self,
-        job_id: int,
-        tenant: str,
-        size_class: str,
-        submit_time: float,
-        ctx: JobContext,
-        pool: TaskPool,
-        reduce_queues: Dict[str, Deque[ReduceTask]],
-        n_reducers: int,
-        input_bytes: int,
-    ):
-        self.job_id = job_id
+    def __init__(self, job: MapReduceJob, tenant: str, size_class: str,
+                 submit_time: float):
+        self.job = job
         self.tenant = tenant
         self.size_class = size_class
         self.submit_time = submit_time
-        self.ctx = ctx
-        self.pool = pool
         #: Unclaimed reduce tasks, keyed by their pinned VM.
-        self.reduce_queues = reduce_queues
-        self.n_reducers = n_reducers
-        self.input_bytes = input_bytes
+        self.reduce_queues: Dict[str, Deque[ReduceTask]] = {
+            vm.vm_id: deque() for vm in job.cluster.vms
+        }
+        for task in job.reduce_tasks:
+            self.reduce_queues[task.vm_id].append(task)
         self.running_maps = 0
         self.running_reduces = 0
         self.reduces_finished = 0
@@ -249,8 +239,16 @@ class LiveJob:
         self.end_time: Optional[float] = None
 
     @property
-    def tag(self) -> str:
-        return f"j{self.job_id}"
+    def job_id(self) -> Optional[int]:
+        return self.job.job_id
+
+    @property
+    def tag(self) -> Optional[str]:
+        return self.job.tag
+
+    @property
+    def input_bytes(self) -> int:
+        return self.job.input_file.size_bytes
 
     @property
     def running_tasks(self) -> int:
@@ -258,7 +256,8 @@ class LiveJob:
 
     @property
     def maps_complete(self) -> bool:
-        return self.ctx.maps_finished >= self.ctx.n_maps
+        ctx = self.job.ctx
+        return ctx.maps_finished >= ctx.n_maps
 
     def has_unclaimed_reduces(self) -> bool:
         return any(len(q) > 0 for q in self.reduce_queues.values())
@@ -274,19 +273,24 @@ class MultiJobResult:
     jobs: List[Dict[str, Any]]
 
 
-# -- the multiplexer ------------------------------------------------------------------
+# -- the runtime ----------------------------------------------------------------------
 
 
 class MultiJobTracker:
-    """Admits an arrival stream and multiplexes jobs over shared slots.
+    """Runs jobs on per-VM map and reduce slot workers.
 
-    Usage::
+    A ``multi_job`` run admits an arrival stream under ``config``::
 
         tracker = MultiJobTracker(env, cluster, topology, namenode,
-                                  base_job, arrivals, scheduler="fair")
+                                  config, arrivals)
         proc = tracker.start()
         env.run(until=proc)
         result = proc.value          # a MultiJobResult
+
+    Without ``config`` and ``arrivals`` the tracker runs one prepared
+    job: ``MultiJobTracker(env, cluster, topology, namenode).start(job)``
+    returns a process whose value is the job's
+    :class:`~repro.mapreduce.phases.JobResult`.
     """
 
     def __init__(
@@ -295,15 +299,11 @@ class MultiJobTracker:
         cluster: "VirtualCluster",
         topology: "Topology",
         namenode: NameNode,
-        base_job: JobConfig,
-        arrivals: Sequence["JobArrival"],
-        scheduler: str = "fifo",
-        map_slots_per_vm: int = 2,
-        reduce_slots_per_vm: int = 2,
-        switch_plan: Optional[SwitchPlan] = None,
+        config: Optional[MultiJobConfig] = None,
+        arrivals: Sequence["JobArrival"] = (),
         trace: Optional["TraceBus"] = None,
     ):
-        if not arrivals:
+        if config is not None and not arrivals:
             raise ValueError("at least one job arrival is required")
         times = [a.time for a in arrivals]
         if times != sorted(times):
@@ -312,42 +312,61 @@ class MultiJobTracker:
         self.cluster = cluster
         self.topology = topology
         self.namenode = namenode
-        self.base_job = base_job
+        self.config = config
         self.arrivals = list(arrivals)
-        self.scheduler = job_scheduler(scheduler)
-        self.map_slots_per_vm = map_slots_per_vm
-        self.reduce_slots_per_vm = reduce_slots_per_vm
-        self.switch_plan = switch_plan
+        self.scheduler = job_scheduler(
+            "fifo" if config is None else config.scheduler)
+        self.switch_plan = None if config is None else config.switch_plan
+        #: Receives ``sched.*`` and ``tenant.*`` records; a single job
+        #: publishes its own ``job.*`` lifecycle records instead.
         self.trace = trace
-        for host in cluster.hosts:
-            topology.add_host(host.name)
-        self.dn = DataNodeService(env, cluster, topology)
         #: Admitted jobs in admission order (finished ones stay listed).
         self.jobs: List[LiveJob] = []
         self.n_finished = 0
-        self._arrivals_open = True
+        self._arrivals_open = bool(self.arrivals)
         self._next_task_id = 0
         self._slot_waiters: List[Event] = []
         self._phase_waiters: List[Event] = []
         self.process = None
 
     # -- lifecycle ------------------------------------------------------------------
-    def start(self):
-        """Launch the control plane; the process's value is a
-        :class:`MultiJobResult`."""
+    def start(self, job: Optional[MapReduceJob] = None) -> "Process":
+        """Launch the slot workers; returns the tracker's process.
+
+        With a prepared, untagged ``job`` (and no ``config``) the
+        process's value is that job's ``JobResult``; otherwise the
+        tracker admits its arrivals and the value is a
+        :class:`MultiJobResult`.
+        """
         if self.process is not None:
             raise RuntimeError("tracker already started")
-        self.process = self.env.process(self._run())
+        if (job is None) == (self.config is None):
+            raise ValueError(
+                "run either one prepared job or a configured arrival stream"
+            )
+        self.process = self.env.process(self._run(job))
         return self.process
 
-    def _run(self):
+    def _run(self, solo: Optional[MapReduceJob]):
         start = self.env.now
-        procs = [self.env.process(self._arrival_proc())]
-        for vm in self.cluster.vms:
-            for _ in range(self.map_slots_per_vm):
+        procs = []
+        if solo is None:
+            slots = self.config.base_job
+            procs.append(self.env.process(self._arrival_proc()))
+        else:
+            slots = solo.config
+            self._enlist(solo, tenant="", size_class="")
+            if solo.trace is not None:
+                solo.trace.publish(start, "job.start",
+                                   name=solo.config.spec.name)
+        vms = self.cluster.vms
+        for vm in vms:
+            for _ in range(slots.map_slots):
                 procs.append(self.env.process(self._map_worker(vm.vm_id)))
-            for _ in range(self.reduce_slots_per_vm):
-                procs.append(self.env.process(self._reduce_worker(vm.vm_id)))
+        # In reduce-task order: the k-th reduce worker claims reduce
+        # task k of a job whose gate is open when the workers start.
+        for vm in vms * slots.reducers_per_vm:
+            procs.append(self.env.process(self._reduce_worker(vm.vm_id)))
         if self.switch_plan is not None:
             # Deliberately outside the completion barrier: the monitor
             # may be mid-dwell when the last job drains, and its timeout
@@ -355,6 +374,18 @@ class MultiJobTracker:
             self.env.process(self._switch_monitor())
         yield AllOf(self.env, procs)
         end = self.env.now
+
+        if solo is not None:
+            if solo.trace is not None:
+                # Published retrospectively (no watcher process: attaching
+                # a trace must not perturb the event schedule); the record
+                # carries the boundary's true simulated time.
+                if solo.shuffle_done_event.triggered:
+                    solo.trace.publish(solo.shuffle_done_event.value,
+                                       "job.shuffle_done")
+                solo.trace.publish(end, "job.done",
+                                   name=solo.config.spec.name)
+            return solo.result(start, end)
 
         unfinished = [job.tag for job in self.jobs if not job.finished]
         if unfinished or len(self.jobs) != len(self.arrivals):
@@ -372,11 +403,7 @@ class MultiJobTracker:
         )
 
     def _record(self, job: LiveJob, end: float) -> Dict[str, Any]:
-        ctx = job.ctx
-        maps_done = (ctx.maps_done_event.value
-                     if ctx.maps_done_event.triggered else end)
-        shuffle_done = (ctx.shuffle.shuffle_done.value
-                        if ctx.shuffle.shuffle_done.triggered else end)
+        result = job.job.result(job.submit_time, end)
         return {
             "job_id": job.job_id,
             "tag": job.tag,
@@ -386,17 +413,17 @@ class MultiJobTracker:
             "first_launch": (job.first_launch
                              if job.first_launch is not None
                              else job.submit_time),
-            "maps_done": maps_done,
-            "shuffle_done": shuffle_done,
+            "maps_done": result.phases.maps_done,
+            "shuffle_done": result.phases.shuffle_done,
             "end": job.end_time,
             "latency": job.end_time - job.submit_time,
-            "n_maps": ctx.n_maps,
-            "n_reducers": job.n_reducers,
-            "input_bytes": job.input_bytes,
-            "map_output_bytes": ctx.shuffle.total_map_output_bytes,
-            "shuffle_bytes": ctx.shuffle.shuffled_bytes,
-            "reduce_output_bytes": ctx.reduce_output_bytes,
-            "stolen": job.pool.stolen,
+            "n_maps": result.n_maps,
+            "n_reducers": result.n_reducers,
+            "input_bytes": result.input_bytes,
+            "map_output_bytes": result.map_output_bytes,
+            "shuffle_bytes": result.shuffle_bytes,
+            "reduce_output_bytes": result.reduce_output_bytes,
+            "stolen": job.job.pool.stolen,
         }
 
     # -- wake plumbing (no busy-wait) -----------------------------------------------
@@ -432,7 +459,7 @@ class MultiJobTracker:
         self._notify_phase()
 
     def _job_config(self, arrival: "JobArrival") -> JobConfig:
-        base = self.base_job
+        base = self.config.base_job
         bytes_per_vm = max(
             base.block_size, int(base.bytes_per_vm * arrival.size_class.bytes_factor)
         )
@@ -446,110 +473,89 @@ class MultiJobTracker:
         )
 
     def _admit(self, arrival: "JobArrival") -> None:
-        job_id = arrival.job_id
-        cfg = self._job_config(arrival)
-        input_file = self.namenode.load_input(cfg.input_path, cfg.bytes_per_vm)
         # Task ids are globally unique across jobs: scratch-file names
         # and CFQ process queues are keyed by them, and two jobs' "map 0"
         # sharing a VM must not collide.
-        tasks = [
-            MapTask(task_id=self._next_task_id + i, block=block,
-                    vm_id=block.replicas[0])
-            for i, block in enumerate(input_file.blocks)
-        ]
-        self._next_task_id += len(tasks)
-        n_reducers = cfg.reducers_per_vm * len(self.cluster.vms)
-        output_file = self.namenode.register_file(cfg.output_path)
-        shuffle = ShuffleService(self.env, n_reducers, len(tasks))
-        ctx = JobContext(
-            env=self.env,
-            cluster=self.cluster,
-            topology=self.topology,
-            namenode=self.namenode,
-            dn=self.dn,
-            config=cfg,
-            shuffle=shuffle,
-            output_file=output_file,
-            trace=self.trace,
-            rng=self.cluster.rng.stream(f"job{job_id}.cpu_noise"),
-            n_maps=len(tasks),
-            maps_done_event=self.env.event(),
-            reducers_may_start=self.env.event(),
-            job_tag=f"j{job_id}",
+        job = MapReduceJob(
+            self.env, self.cluster, self.topology, self.namenode,
+            self._job_config(arrival), trace=self.trace,
+            job_id=arrival.job_id, first_task_id=self._next_task_id,
         )
-        if ctx.slowstart_count() == 0:
-            ctx.reducers_may_start.succeed()
-        reduce_queues: Dict[str, Deque[ReduceTask]] = {
-            vm.vm_id: deque() for vm in self.cluster.vms
-        }
-        idx = 0
-        for _ in range(cfg.reducers_per_vm):
-            for vm in self.cluster.vms:
-                reduce_queues[vm.vm_id].append(
-                    ReduceTask(reducer_idx=idx, vm_id=vm.vm_id,
-                               tag=f"j{job_id}.")
-                )
-                idx += 1
-        job = LiveJob(
-            job_id=job_id,
-            tenant=arrival.tenant,
-            size_class=arrival.size_class.name,
-            submit_time=self.env.now,
-            ctx=ctx,
-            pool=TaskPool(tasks),
-            reduce_queues=reduce_queues,
-            n_reducers=n_reducers,
-            input_bytes=input_file.size_bytes,
-        )
-        self.jobs.append(job)
+        job.prepare()
+        self._next_task_id += job.ctx.n_maps
+        live = self._enlist(job, arrival.tenant, arrival.size_class.name)
         if self.trace is not None:
             self.trace.publish(
                 self.env.now, "sched.job_admitted",
-                job=job.tag, tenant=job.tenant, size_class=job.size_class,
-                input_bytes=job.input_bytes, n_maps=ctx.n_maps,
+                job=live.tag, tenant=live.tenant, size_class=live.size_class,
+                input_bytes=live.input_bytes, n_maps=job.ctx.n_maps,
             )
         self._notify()
         self._notify_phase()
+
+    def _enlist(self, job: MapReduceJob, tenant: str,
+                size_class: str) -> LiveJob:
+        live = LiveJob(job, tenant, size_class, submit_time=self.env.now)
+        job.ctx.wake_slots = self._notify
+        self.jobs.append(live)
+        return live
 
     # -- slot workers ---------------------------------------------------------------
     def _live(self) -> List[LiveJob]:
         return [job for job in self.jobs if not job.finished]
 
-    def _claim_map(self, vm_id: str) -> Optional[Tuple[LiveJob, MapTask]]:
+    def _claim_map(
+        self, vm_id: str,
+    ) -> Union[Tuple[LiveJob, TaskAttempt], Event, None]:
+        """The first job in scheduler order with map work for ``vm_id``,
+        else an event to park on (retries may still appear), else None."""
+        wait = None
         for job in self.scheduler.order(self._live(), self):
-            task = job.pool.take(vm_id)
-            if task is not None:
-                return job, task
-        return None
+            claim = job.job.attempts.claim_map(vm_id)
+            if isinstance(claim, TaskAttempt):
+                return job, claim
+            if wait is None:
+                wait = claim
+        return wait
 
     def _claim_reduce(self, vm_id: str) -> Optional[Tuple[LiveJob, ReduceTask]]:
         for job in self.scheduler.order(self._live(), self):
-            if not job.ctx.reducers_may_start.triggered:
+            if not job.job.ctx.reducers_may_start.triggered:
                 continue  # slowstart gate still closed
             queue = job.reduce_queues[vm_id]
             if queue:
                 return job, queue.popleft()
         return None
 
+    def _launched(self, job: LiveJob, kind: str, vm_id: str,
+                  task_id: int) -> None:
+        if job.first_launch is None:
+            job.first_launch = self.env.now
+        if self.trace is not None:
+            self.trace.publish(
+                self.env.now, "sched.task_assigned",
+                job=job.tag, kind=kind, vm=vm_id, task=task_id,
+            )
+
     def _map_worker(self, vm_id: str):
         while True:
             claim = self._claim_map(vm_id)
+            if isinstance(claim, Event):
+                yield claim
+                continue
             if claim is not None:
-                job, task = claim
+                job, attempt = claim
                 job.running_maps += 1
-                if job.first_launch is None:
-                    job.first_launch = self.env.now
-                if self.trace is not None:
-                    self.trace.publish(
-                        self.env.now, "sched.task_assigned",
-                        job=job.tag, kind="map", vm=vm_id, task=task.task_id,
-                    )
-                yield self.env.process(map_task_proc(job.ctx, task))
+                self._launched(job, "map", vm_id, attempt.task.task_id)
+                yield self.env.process(
+                    map_task_proc(job.job.ctx, attempt.task, attempt)
+                )
+                job.job.attempts.map_attempt_done(attempt)
                 job.running_maps -= 1
                 self._task_done(job)
                 continue
             if not self._arrivals_open and not any(
-                job.pool.remaining() > 0 for job in self.jobs
+                job.job.pool.remaining() > 0 for job in self.jobs
             ):
                 return
             yield self._sleep()
@@ -560,15 +566,8 @@ class MultiJobTracker:
             if claim is not None:
                 job, task = claim
                 job.running_reduces += 1
-                if job.first_launch is None:
-                    job.first_launch = self.env.now
-                if self.trace is not None:
-                    self.trace.publish(
-                        self.env.now, "sched.task_assigned",
-                        job=job.tag, kind="reduce", vm=vm_id,
-                        task=task.reducer_idx,
-                    )
-                yield self.env.process(reduce_task_proc(job.ctx, task))
+                self._launched(job, "reduce", vm_id, task.reducer_idx)
+                yield from self._run_reduce(job.job, task)
                 job.running_reduces -= 1
                 job.reduces_finished += 1
                 self._task_done(job)
@@ -579,6 +578,19 @@ class MultiJobTracker:
                 return
             yield self._sleep()
 
+    def _run_reduce(self, job: MapReduceJob, task: ReduceTask):
+        mgr = job.attempts
+        attempt = mgr.start_reduce(task)
+        if attempt is None:
+            # Fault-free path: exactly one execution.
+            yield self.env.process(reduce_task_proc(job.ctx, task))
+            return
+        while attempt is not None:
+            yield self.env.process(
+                reduce_task_proc(job.ctx, attempt.task, attempt)
+            )
+            attempt = mgr.reduce_attempt_done(attempt)
+
     def _task_done(self, job: LiveJob) -> None:
         self._maybe_finish(job)
         self._notify()
@@ -587,7 +599,7 @@ class MultiJobTracker:
     def _maybe_finish(self, job: LiveJob) -> None:
         if job.finished:
             return
-        if job.maps_complete and job.reduces_finished >= job.n_reducers:
+        if job.maps_complete and job.reduces_finished >= len(job.job.reduce_tasks):
             job.finished = True
             job.end_time = self.env.now
             self.n_finished += 1

@@ -122,11 +122,6 @@ class FlowNetwork:
         return done
 
     # -- internals --------------------------------------------------------------
-    @staticmethod
-    def _is_done(flow: Flow) -> bool:
-        """Finished within float tolerance (absolute or relative)."""
-        return flow.remaining <= 1e-6 + 1e-12 * flow.nbytes
-
     def _advance(self) -> None:
         """Charge elapsed progress to every active flow."""
         now = self.env._now

@@ -250,14 +250,8 @@ def _run_multi_job(config, seed: int) -> Dict[str, Any]:
     arrivals = generate_arrivals(
         config.arrivals, cluster.rng.stream("workload.arrivals")
     )
-    tracker = MultiJobTracker(
-        env, cluster, topology, namenode, config.base_job, arrivals,
-        scheduler=config.scheduler,
-        map_slots_per_vm=config.map_slots_per_vm,
-        reduce_slots_per_vm=config.reduce_slots_per_vm,
-        switch_plan=config.switch_plan,
-        trace=trace,
-    )
+    tracker = MultiJobTracker(env, cluster, topology, namenode, config,
+                              arrivals, trace=trace)
     proc = tracker.start()
     env.run(until=proc)
     result = proc.value

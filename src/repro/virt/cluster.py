@@ -162,7 +162,3 @@ class VirtualCluster:
                 self.env.now, "cluster.set_pair", pair=str(pair)
             )
         return done
-
-    def set_pair_process(self, pair: SchedulerPair):
-        """Generator form of :meth:`set_pair` for use inside processes."""
-        yield self.set_pair(pair)

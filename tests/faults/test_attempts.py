@@ -1,6 +1,9 @@
 """Unit tests for the attempt manager (retry, kill, speculation)."""
 
+from dataclasses import replace
 from types import SimpleNamespace
+
+import pytest
 
 from repro.faults.plan import FaultPlan, SpeculationConfig, TaskFaults
 from repro.hdfs.blocks import HdfsBlock
@@ -163,12 +166,17 @@ def test_vm_crash_kills_and_rehomes():
     assert rehomed.number == 0  # a rehome is not a retry
 
 
-def test_reduce_retry_rotates_off_failed_vm():
+@pytest.mark.parametrize("task", [
+    ReduceTask(reducer_idx=0, vm_id="a"),
+    # A multiplexed job's reducer: the re-placed retry keeps its tag, so
+    # its scratch files and I/O process stay apart from other jobs'.
+    ReduceTask(reducer_idx=0, vm_id="a", tag="j1."),
+], ids=["untagged", "tagged"])
+def test_reduce_retry_rotates_off_failed_vm(task):
     env = Environment()
     ctx = make_ctx(env, vms=("a", "b", "c"))
     mgr = AttemptManager(env, ctx, TaskPool([]), plan=FAILING,
                          rng=RngStreams(0))
-    task = ReduceTask(reducer_idx=0, vm_id="a")
     attempt = mgr.start_reduce(task)
     assert attempt is not None and attempt.number == 0
     attempt.failed = True
@@ -176,6 +184,7 @@ def test_reduce_retry_rotates_off_failed_vm():
     assert retry is not None
     assert retry.number == 1
     assert retry.task.vm_id != "a"
+    assert retry.task == replace(task, vm_id=retry.task.vm_id)
     assert mgr.fault_stats()["reduce_retries"] == 1
     retry.succeeded = True
     assert mgr.reduce_attempt_done(retry) is None

@@ -9,12 +9,16 @@ the single-job golden-digest contract.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.api import MultiJobScenario
 from repro.mapreduce import JOB_SCHEDULERS, SwitchPlan, job_scheduler
-from repro.runner import SweepRunner
+from repro.obs import capture
+from repro.obs.export import load_jsonl
+from repro.runner import RunSpec, SweepRunner
+from repro.runner.kinds import execute_spec
 from repro.runner.spec import spec_key
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -113,6 +117,33 @@ def test_schedulers_change_ordering_not_outcomes():
     for key in ("input_bytes", "n_maps", "n_reducers"):
         assert sorted(j[key] for j in fifo["jobs"]) == \
             sorted(j[key] for j in sjf["jobs"])
+
+
+def test_base_job_map_slots_bound_concurrent_maps_per_vm(tmp_path,
+                                                        monkeypatch):
+    # The base job's map_slots sets the map slot workers per VM: with one,
+    # no VM ever runs two maps at once.
+    for name in (capture.ENV_TRACE_OUT, capture.ENV_TRACE_TOPICS,
+                 capture.ENV_TRACE_CAP, capture.ENV_TRACE_WINDOW):
+        monkeypatch.delenv(name, raising=False)
+    config = scenario().multi_job_config()
+    config = replace(config, base_job=config.base_job.with_(map_slots=1))
+    capture.enable(tmp_path, ("sched.task_assigned", "job.map_finished"))
+    try:
+        execute_spec(RunSpec(kind="multi_job", seed=0, config=config))
+    finally:
+        capture.disable()
+    [trace] = tmp_path.glob("*.trace.jsonl")
+    placed, running, peak = {}, {}, {}
+    for rec in load_jsonl(trace):
+        if rec.topic == "sched.task_assigned" and rec.payload["kind"] == "map":
+            vm = placed[rec.payload["task"]] = rec.payload["vm"]
+            running[vm] = running.get(vm, 0) + 1
+            peak[vm] = max(peak.get(vm, 0), running[vm])
+        elif rec.topic == "job.map_finished":
+            running[placed[rec.payload["task_id"]]] -= 1
+    assert len(peak) == 4
+    assert set(peak.values()) == {1}
 
 
 # ------------------------------------------------------------ switch plan

@@ -61,7 +61,7 @@ ARTIFACT_PINS = {
         "93dd2ff27ce87e9b1e3574c25e7d7a52b7ac1c924a7efceef70068a84d124606",
     ),
     "multi_job": (
-        "68ed85b4944e8b029e5cc3f4cb6711a1ad6b7c3b5796c5bc596d535ef39ca94a",
+        "9e0a689ce94e6b5e41c750da6b5e1d5cd34dfc49acc461285a5e977587ce6e64",
         "b837cf6d32a61f7706b6a9452308a7267f92d5decd68fde01df551ba2b0e936c",
     ),
     "ssd_job": (
