@@ -46,18 +46,24 @@ from .experiments import EXPERIMENTS
 from .faults import PRESETS
 from .mapreduce.multijob import JOB_SCHEDULERS
 from .obs import capture
-from .obs.metrics import merge_snapshots
 from .obs.report import report_path
-from .runner import DEFAULT_CACHE_DIR, RunSpec, SweepRunner, default_jobs
+from .runner import DEFAULT_CACHE_DIR, ProgressRenderer, SweepEvent, SweepRunner
 
 __all__ = ["main"]
 
 
-def _parse_seeds(raw: str) -> tuple:
+def _parse_seed(raw: str) -> int:
     try:
-        seeds = tuple(int(s) for s in raw.split(",") if s != "")
+        value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed list {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"bad seed {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
+def _parse_seeds(raw: str) -> tuple:
+    seeds = tuple(_parse_seed(s) for s in raw.split(",") if s != "")
     if not seeds:
         raise argparse.ArgumentTypeError(
             f"seed list {raw!r} is empty; give at least one seed, e.g. "
@@ -361,7 +367,7 @@ def build_run_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=_parse_scale, default=DEFAULT_SCALE,
                         help="data-size scale factor in (0, 1] "
                         f"(default {DEFAULT_SCALE} or $REPRO_SCALE)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_parse_seed, default=0,
                         help="simulation seed (default 0)")
     parser.add_argument("--hosts", type=_parse_jobs, default=4,
                         help="physical hosts (default 4)")
@@ -454,17 +460,15 @@ def run_controlled(argv: List[str]) -> int:
     return 0
 
 
-def _attach_obs_snapshot(result, out_dir: str, files_before: Set[str],
-                         sweep: Optional[SweepRunner] = None) -> None:
-    """Fold this experiment's capture artifacts into its result payload.
+def _attach_obs_snapshot(result, out_dir: str, files_before: Set[str]) -> None:
+    """Fold this experiment's critical-path blame into its result payload.
 
     Behind the --trace-out flag by construction: without capture the
     payload carries no ``obs`` key at all, keeping rendered output and
     cached run payloads bit-identical to the pre-observability ones.
-    Alongside the merged metrics snapshot this attaches per-trace
-    critical-path blame summaries (so fig-ctrl/fig-multijob can render
-    *why* a plan won, not just that it did) and the sweep/cache-traffic
-    counters.
+    Each new trace file's blame summary lands under
+    ``obs["critical_path"]``, so fig-ctrl/fig-multijob can render *why*
+    a plan won, not just that it did.
     """
     from .obs.export import load_jsonl
     from .obs.spans import blame_summary, critical_path
@@ -473,34 +477,17 @@ def _attach_obs_snapshot(result, out_dir: str, files_before: Set[str],
         names = set(os.listdir(out_dir))
     except OSError:
         return
-    fresh = sorted(names - files_before)
-    snapshots = []
-    for name in fresh:
-        if not name.endswith(".metrics.json"):
-            continue
-        try:
-            with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
-                snapshots.append(json.load(fh))
-        except (OSError, ValueError):
-            continue
-    traces = [n for n in fresh if n.endswith(".trace.jsonl")]
     blame = {}
-    for name in traces:
+    for name in sorted(names - files_before):
+        if not name.endswith(".trace.jsonl"):
+            continue
         try:
             records = load_jsonl(os.path.join(out_dir, name))
         except (OSError, ValueError):
             continue
         if records:
             blame[name] = blame_summary(critical_path(records))
-    result.data["obs"] = {
-        "trace_files": traces,
-        "metrics": merge_snapshots(snapshots),
-        "critical_path": blame,
-    }
-    if sweep is not None:
-        result.data["obs"]["sweep"] = sweep.profiler.snapshot(
-            sweep.cache_stats()
-        )
+    result.data["obs"] = {"critical_path": blame}
 
 
 def run_one(exp_id: str, sweep: SweepRunner, scale: float, seeds: tuple,
@@ -542,7 +529,7 @@ def run_one(exp_id: str, sweep: SweepRunner, scale: float, seeds: tuple,
             kwargs[flag] = value
     result = fn(**kwargs)
     if trace_out is not None:
-        _attach_obs_snapshot(result, trace_out, files_before, sweep=sweep)
+        _attach_obs_snapshot(result, trace_out, files_before)
     rendered = result.render()
     delta = sweep.stats.since(before)
     print(rendered)
@@ -559,6 +546,7 @@ def run_report(argv: List[str]) -> int:
     try:
         if args.json:
             doc = report_json(args.trace, critical=args.critical_path,
+                              chrome_out=args.chrome_out,
                               spans_out=args.spans_out)
             text = json.dumps(doc, sort_keys=True, indent=1)
         else:
@@ -580,6 +568,12 @@ def run_report(argv: List[str]) -> int:
     return 0
 
 
+def _print_finished_run(event: SweepEvent) -> None:
+    """The default sweep output: one stderr line per executed run."""
+    if event.kind == "run_finished":
+        print(f"  ran {event.label} ({event.seconds:.1f}s)", file=sys.stderr)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "report":
@@ -596,11 +590,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     ids = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-
-    def progress(spec: RunSpec, seconds: float) -> None:
-        name = spec.label or f"{spec.kind} seed={spec.seed}"
-        print(f"  ran {name} ({seconds:.1f}s)", file=sys.stderr)
-
     tracing = args.trace_out is not None
     use_cache = not args.no_cache and not tracing
     if tracing and not args.no_cache and not args.quiet:
@@ -609,22 +598,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             "run is simulated (and traced) fresh",
             file=sys.stderr,
         )
-    renderer = None
     try:
-        sweep = SweepRunner(
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=use_cache,
-            progress=None if args.quiet or args.progress else progress,
-        )
-        if args.progress and not args.quiet:
-            from .runner.telemetry import ProgressRenderer
-
-            renderer = ProgressRenderer(jobs=sweep.jobs)
-            sweep.events = renderer
+        sweep = SweepRunner(jobs=args.jobs, cache_dir=args.cache_dir,
+                            use_cache=use_cache)
     except ValueError as exc:  # e.g. a garbage $REPRO_JOBS value
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    renderer = None
+    if args.progress and not args.quiet:
+        renderer = sweep.events = ProgressRenderer(jobs=sweep.jobs)
+    elif not args.quiet:
+        sweep.events = _print_finished_run
 
     if tracing:
         os.makedirs(args.trace_out, exist_ok=True)

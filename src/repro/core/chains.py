@@ -34,20 +34,17 @@ class ChainConfig:
     cluster: ClusterConfig
     jobs: Tuple[JobConfig, ...]
     seeds: Tuple[int, ...] = (0,)
-    #: Two phases per job: maps-running / shuffle+reduce.
-    phases_per_job: int = 2
 
     def __post_init__(self) -> None:
         if not self.jobs:
             raise ValueError("a chain needs at least one job")
-        if self.phases_per_job != 2:
-            raise ValueError("only 2 phases per job are supported")
         if not self.seeds:
             raise ValueError("at least one seed required")
 
     @property
     def n_phases(self) -> int:
-        return self.phases_per_job * len(self.jobs)
+        """Two phases per job: maps-running / shuffle+reduce."""
+        return 2 * len(self.jobs)
 
 
 @dataclass

@@ -33,6 +33,9 @@ __all__ = [
 
 MB = 1024 * 1024
 
+#: A ``(from_pair, to_pair)`` switch.
+Transition = Tuple[SchedulerPair, SchedulerPair]
+
 
 def run_dd_once(
     cluster_config: ClusterConfig,
@@ -69,7 +72,7 @@ def run_dd_once(
 class SwitchCostMatrix:
     """Measured costs, keyed by (from_pair, to_pair)."""
 
-    costs: Dict[Tuple[SchedulerPair, SchedulerPair], float]
+    costs: Dict[Transition, float]
     pure_times: Dict[SchedulerPair, float]
 
     def cost(self, src: SchedulerPair, dst: SchedulerPair) -> float:
@@ -89,7 +92,12 @@ class SwitchCostMatrix:
 
 
 class SwitchCostMeter:
-    """Measure transition costs with the paper's dd methodology."""
+    """Measure transition costs with the paper's dd methodology.
+
+    Every dd run is a ``dd`` :class:`~repro.runner.spec.RunSpec` handed
+    to ``sweep``, whose memo serves repeats; without one the meter uses
+    a private serial runner with no disk cache.
+    """
 
     def __init__(
         self,
@@ -104,22 +112,16 @@ class SwitchCostMeter:
             self.cluster_config = self.cluster_config.with_(hosts=1)
         self.nbytes = nbytes
         self.seeds = tuple(seeds)
-        #: Optional :class:`repro.runner.SweepRunner` for parallel/cached runs.
+        if sweep is None:
+            # Imported here, not at module level: repro.runner's dd kind
+            # imports this module.
+            from ..runner import SweepRunner
+
+            sweep = SweepRunner(jobs=1, use_cache=False)
+        #: The :class:`repro.runner.SweepRunner` every dd run goes through.
         self.sweep = sweep
-        self._pure_cache: Dict[SchedulerPair, float] = {}
-        self._transition_cache: Dict[
-            Tuple[SchedulerPair, SchedulerPair], float
-        ] = {}
 
     # -- runs ------------------------------------------------------------------
-    def _run(self, pair: SchedulerPair, seed: int,
-             switch_to: Optional[SchedulerPair] = None,
-             switch_at: Optional[float] = None) -> float:
-        return run_dd_once(
-            self.cluster_config, pair, seed, self.nbytes,
-            switch_to=switch_to, switch_at=switch_at,
-        )
-
     def _spec(self, pair: SchedulerPair, seed: int,
               switch_to: Optional[SchedulerPair] = None,
               switch_at: Optional[float] = None):
@@ -136,77 +138,52 @@ class SwitchCostMeter:
             label=f"{tag} seed={seed}",
         )
 
+    def _mean_elapsed(self, runs: Sequence[tuple]) -> List[float]:
+        """Seed-mean dd seconds of each ``(pair, switch_to, switch_at)``
+        run, all submitted to the runner as one batch."""
+        specs = [self._spec(pair, seed, switch_to, switch_at)
+                 for pair, switch_to, switch_at in runs
+                 for seed in self.seeds]
+        elapsed = [p["elapsed"] for p in self.sweep.run_specs(specs)]
+        n = len(self.seeds)
+        return [mean(elapsed[i:i + n]) for i in range(0, len(elapsed), n)]
+
+    def _pure_times(self, pairs: Sequence[SchedulerPair]
+                    ) -> Dict[SchedulerPair, float]:
+        times = self._mean_elapsed([(pair, None, None) for pair in pairs])
+        return dict(zip(pairs, times))
+
+    def _costs(self, transitions: Sequence[Transition],
+               pure: Dict[SchedulerPair, float]) -> Dict[Transition, float]:
+        # The switch fires halfway through the shorter pure run.
+        t_both = self._mean_elapsed([
+            (src, dst, min(pure[src], pure[dst]) / 2.0)
+            for src, dst in transitions
+        ])
+        return {
+            (src, dst): t - (pure[src] + pure[dst]) / 2.0
+            for (src, dst), t in zip(transitions, t_both)
+        }
+
     def pure_time(self, pair: SchedulerPair) -> float:
         """Mean dd elapsed time under a single pair."""
-        cached = self._pure_cache.get(pair)
-        if cached is None:
-            cached = mean(self._run(pair, seed) for seed in self.seeds)
-            self._pure_cache[pair] = cached
-        return cached
+        return self._pure_times([pair])[pair]
 
     def transition_cost(self, src: SchedulerPair, dst: SchedulerPair) -> float:
         """Cost_switch for ``src → dst`` per the paper's formula."""
-        cached = self._transition_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        t1 = self.pure_time(src)
-        t2 = self.pure_time(dst)
-        switch_at = min(t1, t2) / 2.0
-        t_both = mean(
-            self._run(src, seed, switch_to=dst, switch_at=switch_at)
-            for seed in self.seeds
-        )
-        cost = t_both - (t1 + t2) / 2.0
-        self._transition_cache[(src, dst)] = cost
-        return cost
+        pure = self._pure_times([src, dst])
+        return self._costs([(src, dst)], pure)[(src, dst)]
 
     def matrix(
         self, pairs: Optional[Sequence[SchedulerPair]] = None
     ) -> SwitchCostMatrix:
+        """Two batches: the pure grid, then the ``S²`` transition grid
+        (each transition's switch time needs its two pure times)."""
         pairs = list(pairs) if pairs is not None else all_pairs()
-        if self.sweep is not None:
-            self._prefetch(pairs)
-        costs = {
-            (src, dst): self.transition_cost(src, dst)
-            for src in pairs
-            for dst in pairs
-        }
-        return SwitchCostMatrix(
-            costs=costs,
-            pure_times={p: self.pure_time(p) for p in pairs},
-        )
-
-    def _prefetch(self, pairs: Sequence[SchedulerPair]) -> None:
-        """Two batched passes through the sweep runner.
-
-        The transition runs need the pure times (the switch fires at
-        half the shorter pure run), so the pure grid is one parallel
-        batch and the ``S²`` transition grid a second.
-        """
-        pure_specs = [
-            self._spec(pair, seed) for pair in pairs for seed in self.seeds
-        ]
-        payloads = self.sweep.run_specs(pure_specs)
-        it = iter(payloads)
-        for pair in pairs:
-            self._pure_cache[pair] = mean(
-                next(it)["elapsed"] for _ in self.seeds
-            )
-        transition_specs = []
-        for src in pairs:
-            for dst in pairs:
-                switch_at = min(self.pure_time(src), self.pure_time(dst)) / 2.0
-                transition_specs.extend(
-                    self._spec(src, seed, switch_to=dst, switch_at=switch_at)
-                    for seed in self.seeds
-                )
-        results = iter(self.sweep.run_specs(transition_specs))
-        for src in pairs:
-            for dst in pairs:
-                t_both = mean(next(results)["elapsed"] for _ in self.seeds)
-                self._transition_cache[(src, dst)] = (
-                    t_both - (self.pure_time(src) + self.pure_time(dst)) / 2.0
-                )
+        pure = self._pure_times(pairs)
+        transitions = [(src, dst) for src in pairs for dst in pairs]
+        return SwitchCostMatrix(costs=self._costs(transitions, pure),
+                                pure_times=pure)
 
 
 class SwitchCostModel:

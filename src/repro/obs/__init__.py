@@ -1,13 +1,9 @@
 """repro.obs — the observability layer over the trace bus.
 
-Four concerns, one package:
-
 * :mod:`repro.obs.metrics` — deterministic simulation-time counters,
   gauges, and fixed-bucket histograms, auto-populated from trace topics;
 * :mod:`repro.obs.export` — the canonical JSONL record encoding and
   Chrome trace-event exports viewable in Perfetto;
-* :mod:`repro.obs.profile` — wall-clock profiling of the sweep runner
-  (stage timings, worker utilization, cache traffic);
 * :mod:`repro.obs.capture` — the per-run capture switch the CLI's
   ``--trace-out`` flips, propagated to worker processes via the
   environment;
@@ -37,9 +33,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     TraceMetrics,
-    merge_snapshots,
 )
-from .profile import BatchProfile, SweepProfiler
 from .report import (
     EmptyTraceError,
     MissingTraceError,
@@ -61,7 +55,6 @@ from .spill import TraceSpiller
 from .topics import REGISTERED_TOPICS, TOPIC_NAMES, TOPICS, TopicSpec, span_hint
 
 __all__ = [
-    "BatchProfile",
     "CaptureConfig",
     "Counter",
     "EmptyTraceError",
@@ -74,7 +67,6 @@ __all__ = [
     "RunCapture",
     "Segment",
     "Span",
-    "SweepProfiler",
     "TOPICS",
     "TOPIC_NAMES",
     "TopicFilter",
@@ -88,7 +80,6 @@ __all__ = [
     "critical_path",
     "current_bus",
     "load_jsonl",
-    "merge_snapshots",
     "render_report",
     "report_json",
     "report_path",

@@ -25,7 +25,6 @@ __all__ = [
     "TraceMetrics",
     "DEFAULT_LATENCY_BUCKETS",
     "JOB_LATENCY_BUCKETS",
-    "merge_snapshots",
 ]
 
 #: Request-latency histogram edges in seconds (upper bounds; the last
@@ -162,33 +161,6 @@ class MetricsRegistry:
             "histograms": {k: self._histograms[k].snapshot()
                            for k in sorted(self._histograms)},
         }
-
-
-def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Aggregate per-run snapshots: counters/histogram tallies sum,
-    gauges keep the max of their high-water marks (the only cross-run
-    reduction that stays meaningful for queue depths and end times)."""
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, Dict[str, float]] = {}
-    hist_totals: Dict[str, Dict[str, float]] = {}
-    for snap in snapshots:
-        for key, value in snap.get("counters", {}).items():
-            counters[key] = counters.get(key, 0.0) + value
-        for key, g in snap.get("gauges", {}).items():
-            agg = gauges.setdefault(key, {"value": g["value"], "max": g["max"]})
-            agg["value"] = max(agg["value"], g["value"])
-            agg["max"] = max(agg["max"], g["max"])
-        for key, h in snap.get("histograms", {}).items():
-            agg = hist_totals.setdefault(key, {"count": 0, "sum": 0.0})
-            agg["count"] += h["count"]
-            agg["sum"] += h["sum"]
-    for agg in hist_totals.values():
-        agg["mean"] = agg["sum"] / agg["count"] if agg["count"] else 0.0
-    return {
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": dict(sorted(hist_totals.items())),
-    }
 
 
 class TraceMetrics:

@@ -276,6 +276,7 @@ def _segment_dicts(segments) -> List[Dict[str, Any]]:
 
 
 def report_json(path: Path | str, critical: bool = False,
+                chrome_out: Optional[Path | str] = None,
                 spans_out: Optional[Path | str] = None) -> Dict[str, Any]:
     """The machine-readable report document (``repro report --json``).
 
@@ -283,9 +284,10 @@ def report_json(path: Path | str, critical: bool = False,
     "records", "phases", "devices", "counters"[, "critical_path"]}]}``
     with phases as ``{name: {start, end, duration}}``, devices as
     :func:`device_dicts` rows, and ``critical_path`` (on request) as
-    ``{"segments": [...], "blame": blame_summary}``.  Raises
-    :class:`MissingTraceError`/:class:`EmptyTraceError` instead of
-    reporting on nothing.
+    ``{"segments": [...], "blame": blame_summary}``.  ``chrome_out`` and
+    ``spans_out`` write the same merged exports as :func:`report_path`.
+    Raises :class:`MissingTraceError`/:class:`EmptyTraceError` instead
+    of reporting on nothing.
     """
     files = trace_files(path)
     doc: Dict[str, Any] = {"schema": REPORT_SCHEMA, "files": []}
@@ -318,6 +320,8 @@ def report_json(path: Path | str, critical: bool = False,
             f"trace files under {path} contain no records "
             "(was the run traced with a too-narrow --trace-topics?)"
         )
+    if chrome_out is not None:
+        write_chrome_trace(all_records, chrome_out)
     if spans_out is not None:
         write_span_trace(all_records, spans_out)
     return doc

@@ -28,8 +28,8 @@ class ResultCache:
 
     def __init__(self, root: os.PathLike | str = DEFAULT_CACHE_DIR):
         self.root = Path(root)
-        # Traffic counters for the observability profiler: how often the
-        # disk cache answered, and how many bytes moved either way.
+        # Traffic counters for the sweep profile: how often the disk
+        # cache answered, and how many bytes moved either way.
         self.hits = 0
         self.misses = 0
         self.bytes_read = 0

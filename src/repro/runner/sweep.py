@@ -13,8 +13,10 @@ result payloads in order, sourcing each one from (in priority order):
 Every fresh payload is normalised through a JSON round-trip before it is
 memoised, persisted, or returned, so serial, parallel, and cache-hit
 executions hand back bit-identical data structures (asserted in
-``tests/runner/``).  ``stats`` counts executed simulations and cache
-hits; the CLI surfaces the counters after every experiment.
+``tests/runner/``).  ``stats`` is the runner's one ledger: batches,
+specs, executions, memo and cache hits, and the lookup/execute/busy
+seconds.  The CLI prints its counters after every experiment and its
+``profile:`` lines after the sweep.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.profile import BatchProfile, SweepProfiler
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .kinds import execute_spec
 from .spec import RunSpec, spec_key
@@ -57,7 +58,11 @@ def default_jobs() -> int:
 
 @dataclass
 class SweepStats:
-    """Counters for one runner's lifetime."""
+    """One runner's ledger: what its batches ran, served and cost.
+
+    Wall-clock numbers never flow into payloads or cache keys: they are
+    printed after a sweep and thrown away.
+    """
 
     #: Simulations actually executed (the expensive number).
     executed: int = 0
@@ -72,21 +77,22 @@ class SweepStats:
     #: not persisted) — e.g. ``--no-cache`` or the ``--trace-out``
     #: cache bypass.
     bypassed: int = 0
+    #: ``run_specs`` calls, and the specs they were given.
+    batches: int = 0
+    specs: int = 0
+    #: Wall seconds resolving memo/disk-cache lookups (the cheap stage).
+    lookup_seconds: float = 0.0
+    #: Wall seconds inside the execute stage (fan-out inclusive).
+    execute_seconds: float = 0.0
 
     def snapshot(self) -> "SweepStats":
-        return SweepStats(
-            self.executed, self.cache_hits, self.memo_hits,
-            self.run_seconds, self.bypassed,
-        )
+        return replace(self)
 
     def since(self, other: "SweepStats") -> "SweepStats":
-        return SweepStats(
-            self.executed - other.executed,
-            self.cache_hits - other.cache_hits,
-            self.memo_hits - other.memo_hits,
-            self.run_seconds - other.run_seconds,
-            self.bypassed - other.bypassed,
-        )
+        return SweepStats(**{
+            f.name: getattr(self, f.name) - getattr(other, f.name)
+            for f in fields(self)
+        })
 
     def summary(self) -> str:
         line = (
@@ -118,7 +124,6 @@ class SweepRunner:
         jobs: Optional[int] = None,
         cache_dir: os.PathLike | str = DEFAULT_CACHE_DIR,
         use_cache: bool = True,
-        progress: Optional[Callable[[RunSpec, float], None]] = None,
         events: Optional[Callable[[SweepEvent], None]] = None,
     ):
         self.jobs = jobs if jobs is not None else default_jobs()
@@ -127,14 +132,10 @@ class SweepRunner:
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if use_cache else None
         )
-        #: Called as ``progress(spec, seconds)`` after each executed run.
-        self.progress = progress
         #: Live telemetry stream (see :mod:`repro.runner.telemetry`):
         #: one :class:`SweepEvent` per lookup outcome and run edge.
         self.events = events
         self.stats = SweepStats()
-        #: Wall-clock profiling of every run_specs batch (repro.obs).
-        self.profiler = SweepProfiler(jobs=self.jobs)
         self._memo: Dict[str, Any] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
 
@@ -161,8 +162,6 @@ class SweepRunner:
         ``hits``/``misses``/``bytes_read``/``bytes_written`` come from
         :class:`ResultCache` (zeros when the cache is disabled);
         ``bypassed`` counts simulations that ran with the cache off.
-        This is what ``--trace-out`` folds into payload metadata and
-        what the profiler summary prints.
         """
         stats: Dict[str, Any] = (
             dict(self.cache.stats()) if self.cache is not None
@@ -172,9 +171,29 @@ class SweepRunner:
         return stats
 
     def profile_summary(self) -> str:
-        """Human-readable profiling report (stage timings, utilization,
-        cache traffic) for everything this runner has executed so far."""
-        return self.profiler.summary(self.cache_stats())
+        """Stage timings, worker utilization and cache traffic for
+        everything this runner has executed so far, one line each."""
+        s = self.stats
+        # Busy fraction of the pool during execute stages: low values
+        # mean the fan-out was starved (few specs) or skewed (one long
+        # run serialised the batch).
+        window = s.execute_seconds * self.jobs
+        utilization = min(1.0, s.run_seconds / window) if window > 0 else 0.0
+        cache = self.cache_stats()
+        line = (
+            "profile: cache hits {hits}, misses {misses}, "
+            "read {bytes_read} B, wrote {bytes_written} B".format(**cache)
+        )
+        if cache["bypassed"]:
+            line += f", bypassed {cache['bypassed']}"
+        return "\n".join([
+            f"profile: {s.batches} batches, {s.specs} specs "
+            f"({s.executed} executed), lookup {s.lookup_seconds:.2f}s, "
+            f"execute {s.execute_seconds:.2f}s",
+            f"profile: workers {self.jobs}, busy {s.run_seconds:.2f}s, "
+            f"utilization {100 * utilization:.0f}%",
+            line,
+        ])
 
     def _emit(self, kind: str, spec: Optional[RunSpec] = None, key: str = "",
               seconds: float = 0.0, completed: int = 0,
@@ -193,7 +212,8 @@ class SweepRunner:
     def run_specs(self, specs: Sequence[RunSpec]) -> List[Any]:
         """Result payloads for ``specs``, order-preserving."""
         specs = list(specs)
-        stats_before = self.stats.snapshot()
+        self.stats.batches += 1
+        self.stats.specs += len(specs)
         t_start = time.perf_counter()
         keys = [spec_key(spec) for spec in specs]
         results: List[Any] = [None] * len(specs)
@@ -216,6 +236,7 @@ class SweepRunner:
             missing.setdefault(key, spec)
 
         t_lookup = time.perf_counter()
+        self.stats.lookup_seconds += t_lookup - t_start
         if missing:
             self._emit("batch_started", pending=len(missing))
             self._execute_missing(missing)
@@ -223,16 +244,7 @@ class SweepRunner:
             for i, key in enumerate(keys):
                 if results[i] is None and key in self._memo:
                     results[i] = self._memo[key]
-        delta = self.stats.since(stats_before)
-        self.profiler.record_batch(BatchProfile(
-            specs=len(specs),
-            executed=delta.executed,
-            memo_hits=delta.memo_hits,
-            cache_hits=delta.cache_hits,
-            lookup_seconds=t_lookup - t_start,
-            execute_seconds=time.perf_counter() - t_lookup,
-            busy_seconds=delta.run_seconds,
-        ))
+        self.stats.execute_seconds += time.perf_counter() - t_lookup
         return results
 
     # -- internals ------------------------------------------------------------------
@@ -284,8 +296,6 @@ class SweepRunner:
         self._emit("run_finished", spec, key, seconds=seconds,
                    completed=self._batch_done,
                    pending=max(0, total - self._batch_done))
-        if self.progress is not None:
-            self.progress(spec, seconds)
 
 
 #: Process-wide runner used when experiments are called without one.

@@ -1,17 +1,16 @@
 """Live sweep telemetry: structured events and a terminal progress line.
 
-The sweep runner used to be silent between batches — on a cold
-multi-hour sweep the only signal was the per-run "ran ..." lines, with
-no notion of how much work remained.  This module adds a lightweight
-event stream: :class:`SweepRunner <repro.runner.sweep.SweepRunner>`
-calls its ``events`` callback with one :class:`SweepEvent` per lookup
-outcome and run lifecycle edge, and :class:`ProgressRenderer` consumes
-that stream into a single self-overwriting progress line with a
-completion ETA (``repro <experiment> --progress``).
+:class:`SweepRunner <repro.runner.sweep.SweepRunner>` calls its
+``events`` callback with one :class:`SweepEvent` per lookup outcome and
+run lifecycle edge; it is the runner's only hook.  The CLI's default
+per-run ``  ran <label> (<s>s)`` lines consume it, and so does
+:class:`ProgressRenderer`, which folds the stream into a single
+self-overwriting progress line with a completion ETA
+(``repro <experiment> --progress``).
 
-Telemetry is wall-clock territory (like :mod:`repro.obs.profile`):
-events never flow into payloads or cache keys, and a runner without an
-``events`` callback pays nothing.
+Telemetry is wall-clock territory (like the runner's ``SweepStats``
+timings): events never flow into payloads or cache keys, and a runner
+without an ``events`` callback pays nothing.
 """
 
 from __future__ import annotations

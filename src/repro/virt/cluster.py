@@ -57,6 +57,11 @@ class ClusterConfig:
     switch_control_latency: float = 0.050
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # numpy's SeedSequence would reject it later, naming no field.
+        if self.seed < 0:
+            raise ValueError(f"ClusterConfig.seed must be >= 0, got {self.seed}")
+
     def with_(self, **changes) -> "ClusterConfig":
         """A modified copy (sweep helper)."""
         return replace(self, **changes)

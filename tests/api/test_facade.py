@@ -26,6 +26,7 @@ from repro.core.solution import Solution
 from repro.runner.adapter import SweepJobRunner
 from repro.runner.kinds import encode_job_result, execute_spec, _reset_run_ids
 from repro.runner.spec import spec_key
+from repro.virt.cluster import ClusterConfig
 from repro.virt.pair import DEFAULT_PAIR, SchedulerPair
 from repro.workloads import SORT
 
@@ -75,6 +76,16 @@ def test_scenario_validation():
         Scenario(scale=1.5)
     with pytest.raises(ValueError):
         Scenario(plan=Solution.uniform(DEFAULT_PAIR, 3), n_phases=2)
+
+
+def test_negative_seed_is_rejected_naming_the_field():
+    # Used to fail deep in numpy ("expected non-negative integer").
+    with pytest.raises(ValueError, match="seed"):
+        ClusterConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        ClusterConfig().with_(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        simulate(Scenario(**TINY), seed=-1)
 
 
 def test_scenario_with_():

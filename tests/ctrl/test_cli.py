@@ -107,6 +107,15 @@ def test_run_rejects_unknown_controllers_at_parse_time(capsys):
     assert "bandit, greedy, hysteresis" in err
 
 
+def test_run_rejects_a_negative_seed_naming_the_flag(capsys):
+    # `--seed -1` used to reach numpy and exit 1 with a traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--seed", "-1"] + FAST)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "-1" in err
+
+
 def test_run_rejects_unknown_pairs_with_choices_listed(capsys):
     with pytest.raises(SystemExit) as exc:
         run_controlled(["--plan", "ad,zz"])

@@ -1,5 +1,7 @@
 """CLI tests (tiny scale so each invocation stays quick)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main, run_one
@@ -31,6 +33,15 @@ def test_parser_rejects_empty_seeds():
         build_parser().parse_args(["fig8", "--seeds", ""])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fig8", "--seeds", ","])
+
+
+def test_main_rejects_negative_seeds_naming_the_flag(capsys):
+    # `--seeds -1` used to reach numpy and exit 1 with a traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(["fig8", "--seeds", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seeds" in err and "-1" in err
 
 
 @pytest.mark.parametrize("scale", ["0", "-0.5", "1.5", "nan"])
@@ -136,6 +147,33 @@ def test_run_one_returns_check_status(tmp_path, capsys):
         ok = run_one("fig8", sweep, scale=0.05, seeds=(0,), quiet=True)
     assert isinstance(ok, bool)
     assert "fig8" in capsys.readouterr().out
+
+
+def _ran_lines(err):
+    return [line for line in err.splitlines() if line.startswith("  ran ")]
+
+
+def test_main_prints_one_ran_line_per_executed_run(tmp_path, capsys):
+    argv = ["fig8", "--scale", "0.05", "--seeds", "0", "--jobs", "1",
+            "--cache-dir", str(tmp_path)]
+    main(argv)
+    cold = capsys.readouterr()
+    # fig8 asks for its three benchmarks twice: three runs, three memo hits.
+    assert "simulations executed 3, cache hits 0, memo hits 3" in cold.out
+    ran = _ran_lines(cold.err)
+    assert [line.rsplit(" (", 1)[0] for line in ran] == [
+        f"  ran {name} [(CFQ, CFQ) -> 0] seed=0"
+        for name in ("wordcount", "wordcount-nocombiner", "sort")
+    ]
+    assert all(re.fullmatch(r"  ran .+ \(\d+\.\ds\)", line) for line in ran)
+
+    main(argv)  # warm: every run is a disk-cache hit
+    warm = capsys.readouterr()
+    assert "simulations executed 0, cache hits 3, memo hits 3" in warm.out
+    assert _ran_lines(warm.err) == []
+
+    main(argv[:-2] + ["--cache-dir", str(tmp_path / "quiet"), "--quiet"])
+    assert capsys.readouterr().err == ""
 
 
 def test_main_progress_renders_a_sweep_line(tmp_path, capsys):

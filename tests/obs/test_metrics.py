@@ -8,7 +8,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     TraceMetrics,
-    merge_snapshots,
 )
 from repro.sim.tracing import TraceBus, TraceRecord
 
@@ -70,26 +69,6 @@ def test_registry_keys_are_deterministic_and_labelled():
     # Label order in the call never changes the key.
     reg.counter("fs.ops", vm="h0v1", op="read").inc()
     assert reg.snapshot()["counters"]["fs.ops{op=read,vm=h0v1}"] == 2.0
-
-
-def test_merge_snapshots_sums_counters_and_maxes_gauges():
-    a = MetricsRegistry()
-    a.counter("disk.submitted", device="d").inc(3)
-    a.gauge("disk.queue_depth", device="d").add(5)
-    a.histogram("disk.latency", device="d").observe(0.01)
-    b = MetricsRegistry()
-    b.counter("disk.submitted", device="d").inc(4)
-    b.gauge("disk.queue_depth", device="d").add(2)
-    b.histogram("disk.latency", device="d").observe(0.03)
-    merged = merge_snapshots([a.snapshot(), b.snapshot()])
-    assert merged["counters"]["disk.submitted{device=d}"] == 7.0
-    assert merged["gauges"]["disk.queue_depth{device=d}"]["max"] == 5.0
-    hist = merged["histograms"]["disk.latency{device=d}"]
-    assert hist["count"] == 2
-    assert hist["mean"] == pytest.approx(0.02)
-
-
-# -- the trace-topic bridge ----------------------------------------------------------
 
 
 def test_trace_metrics_disk_lifecycle():

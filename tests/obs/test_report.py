@@ -192,3 +192,13 @@ def test_report_out_and_spans_out_write_files(fig8_trace_dir, capsys, tmp_path):
     assert doc["schema"] == "repro.report/1"
     span_doc = json.loads(spans.read_text())
     assert span_doc["traceEvents"]
+
+
+def test_report_json_writes_the_chrome_trace(fig8_trace_dir, capsys, tmp_path):
+    # --chrome-out used to be dropped silently in --json mode.
+    chrome_out = tmp_path / "fig8.chrome.json"
+    code = main(["report", str(fig8_trace_dir), "--json",
+                 "--chrome-out", str(chrome_out)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["schema"] == "repro.report/1"
+    assert json.loads(chrome_out.read_text())["traceEvents"]

@@ -122,19 +122,6 @@ def test_cached_runs_report_no_bypasses(tmp_path):
         assert "bypassed" not in sweep.profile_summary()
 
 
-def test_progress_callback_fires_per_execution(tmp_path):
-    seen = []
-    specs = _dd_specs(n_pairs=2, seeds=(0,))
-    with SweepRunner(
-        jobs=1, cache_dir=tmp_path,
-        progress=lambda spec, secs: seen.append((spec, secs)),
-    ) as sweep:
-        sweep.run_specs(specs)
-        sweep.run_specs(specs)  # memo hits: no further callbacks
-    assert len(seen) == len(specs)
-    assert all(secs >= 0 for _, secs in seen)
-
-
 def test_stats_snapshot_and_since(tmp_path):
     specs = _dd_specs(n_pairs=2, seeds=(0,))
     with SweepRunner(jobs=1, cache_dir=tmp_path) as sweep:
