@@ -99,7 +99,10 @@ def test_inert_fault_plan_matches_golden_digest():
 #: hysteresis run on SSDs with faults, a static run with co-tenant
 #: interference), a dd run that switches mid-flight, and a three-job
 #: ``multi_job`` stream under every job scheduler, a cluster-scope
-#: switch plan and SSDs.  All on the 2x2 testbed at scale 0.05.
+#: switch plan and SSDs.  All on the 2x2 testbed at scale 0.05, except
+#: the two ``job_4x4`` pins: perfbench's ``pair_sweep`` job at scale
+#: 1/32 on 4 hosts x 4 VMs, whose 16 shuffle routes carry up to 160
+#: live flows (the 2x2 pins never pass a handful).
 PINNED_DIGESTS = {
     "job_cc_ad":
         "d0b2f7dc22899b4d634b7dd5f456618b88a85a1242167f23137c839022521730",
@@ -141,6 +144,10 @@ PINNED_DIGESTS = {
         "cae1df01f8ffcede39f53a9e11f9079718f54b58a79e90b3d7bba1a6a2a47d58",
     "multi_job_ssd":
         "3a82edc34c412a463a8bc04ecd54887e0f602c05a498811f0eaa66504568f8a8",
+    "job_4x4_na_seed0":
+        "c4eae6b8aa29dd20750e6ac552c165fbee5e0c72c7956dfb01dd98745e8ce320",
+    "job_4x4_cn_seed1":
+        "4425cf5cb6db629b62426b86c0eb410ff9ada803dbd53abf4d44a57f1a27ab58",
 }
 
 
@@ -151,6 +158,14 @@ def multi_job_config(**overrides):
         workload="sort", scale=0.05, hosts=2, vms_per_host=2, n_jobs=3,
         arrival_rate=1.0, **overrides,
     ).multi_job_config()
+
+
+def pair_sweep_job(pair, seed):
+    """perfbench's ``pair_sweep`` job for one pair, as a pin entry."""
+    testbed = scaled_testbed(SORT, scale=0.03125, hosts=4, vms_per_host=4,
+                             seeds=(seed,))
+    return ("job", (testbed, Solution.uniform(SchedulerPair.parse(pair), 2)),
+            seed)
 
 
 def pinned_spec(name):
@@ -221,9 +236,12 @@ def pinned_spec(name):
         "multi_job_switch_ad_cc": ("multi_job",
                                    multi_job_config(switch=("ad", "cc"))),
         "multi_job_ssd": ("multi_job", multi_job_config(storage="ssd")),
+        "job_4x4_na_seed0": pair_sweep_job("na", 0),
+        "job_4x4_cn_seed1": pair_sweep_job("cn", 1),
     }
-    kind, config = configs[name]
-    return RunSpec(kind=kind, seed=0, config=config, label=f"pin {name}")
+    kind, config, *seed = configs[name]
+    return RunSpec(kind=kind, seed=seed[0] if seed else 0, config=config,
+                   label=f"pin {name}")
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
