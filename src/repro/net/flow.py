@@ -3,14 +3,15 @@
 Shuffle traffic is modelled at flow granularity: a transfer occupies a
 set of links (source NIC egress, destination NIC ingress) and all
 concurrent flows share link capacity max-min fairly (progressive
-filling).  Rates are recomputed whenever a flow starts or finishes and
-the next completion is scheduled analytically — the same event-driven
-technique as the processor-sharing CPU.
+filling).  Rates are recomputed once per simulated instant in which a
+flow starts or finishes, and the next completion is scheduled
+analytically — the same event-driven technique as the processor-sharing
+CPU.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..sim.events import Event
@@ -20,15 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Link", "Flow", "FlowNetwork"]
 
-_fid_counter = itertools.count(1)
-
-
-def reset_fids() -> None:
-    """Restart flow numbering at 1; fids label flows (repr/hash) and
-    never order them, so this only stabilises cross-run diagnostics."""
-    global _fid_counter
-    _fid_counter = itertools.count(1)
-
 
 class Link:
     """A unidirectional capacity constraint (bytes/second)."""
@@ -36,8 +28,9 @@ class Link:
     __slots__ = ("name", "capacity", "flows", "_epoch", "_residual", "_count")
 
     def __init__(self, name: str, capacity: float):
-        if capacity <= 0:
-            raise ValueError(f"link capacity must be positive: {name}")
+        if not 0 < capacity < math.inf:
+            raise ValueError(
+                f"link {name}: capacity must be positive and finite, got {capacity}")
         self.name = name
         self.capacity = capacity
         # Scratch used by FlowNetwork._reallocate_and_schedule, valid
@@ -45,9 +38,9 @@ class Link:
         self._epoch = 0
         self._residual = 0.0
         self._count = 0
-        # Insertion-ordered (dict keys) so iteration order — and hence
-        # float accumulation order — is a function of the run alone,
-        # not of the process-global flow counter.
+        # Insertion-ordered (dict keys, hashed by identity) so iteration
+        # order — and hence float accumulation order — is a function of
+        # the run alone.
         self.flows: Dict["Flow", None] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -57,12 +50,11 @@ class Link:
 class Flow:
     """One in-progress transfer across a fixed set of links."""
 
-    __slots__ = ("fid", "links", "remaining", "nbytes", "rate", "done", "label",
+    __slots__ = ("links", "remaining", "nbytes", "rate", "done", "label",
                  "start_time", "_epoch")
 
     def __init__(self, links: Tuple[Link, ...], nbytes: float, done: Event,
                  label: Any, start_time: float):
-        self.fid = next(_fid_counter)
         self.links = links
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
@@ -75,17 +67,19 @@ class Flow:
         self._epoch = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<Flow #{self.fid} {self.label!r} left={self.remaining:.0f}B @{self.rate:.0f}B/s>"
-
-    def __hash__(self) -> int:
-        return self.fid
-
-    def __eq__(self, other) -> bool:
-        return self is other
+        return f"<Flow {self.label!r} left={self.remaining:.0f}B @{self.rate:.0f}B/s>"
 
 
 class FlowNetwork:
-    """The flow scheduler: max-min fair rates, analytic completions."""
+    """The flow scheduler: max-min fair rates, analytic completions.
+
+    Every flow start or finish only invalidates the current rates; one
+    solve event per simulated instant recomputes them after all of that
+    instant's changes.  The wakeup it schedules takes the heap key
+    reserved at the instant's last change, which is where an eager
+    re-solve at every change would have put it, so runs are the same
+    event for event.
+    """
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -93,6 +87,9 @@ class FlowNetwork:
         self._last_update = env.now
         self._generation = 0
         self._epoch = 0
+        #: Heap key for the next wakeup, reserved at the last change.
+        self._wakeup_key = 0
+        self._solve_pending = False
         self.completed_flows = 0
         self.bytes_transferred = 0.0
 
@@ -105,8 +102,8 @@ class FlowNetwork:
 
         Zero-byte transfers complete immediately.
         """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError(f"nbytes must be non-negative and finite, got {nbytes}")
         if not links:
             raise ValueError("a flow needs at least one link")
         done = Event(self.env)
@@ -118,10 +115,27 @@ class FlowNetwork:
         self._flows[flow] = None
         for link in flow.links:
             link.flows[flow] = None
-        self._reallocate_and_schedule()
+        self._invalidate()
         return done
 
     # -- internals --------------------------------------------------------------
+    def _invalidate(self) -> None:
+        """The flow set changed: stale the wakeup, solve once this instant."""
+        self._generation += 1
+        if not self._flows:
+            return
+        env = self.env
+        self._wakeup_key = env.reserve_order()
+        if not self._solve_pending:
+            self._solve_pending = True
+            solve = env.event()
+            solve.callbacks.append(self._on_solve)
+            solve.succeed()
+
+    def _on_solve(self, _event: Event) -> None:
+        self._solve_pending = False
+        self._reallocate_and_schedule()
+
     def _advance(self) -> None:
         """Charge elapsed progress to every active flow."""
         now = self.env._now
@@ -149,7 +163,8 @@ class FlowNetwork:
             flow.rate = rate = min(link.capacity for link in flow.links)
             eta = flow.remaining / rate
             gen = self._generation
-            wakeup = self.env.timeout(eta if eta > 1e-9 else 1e-9)
+            wakeup = self.env.timeout_reserved(eta if eta > 1e-9 else 1e-9,
+                                               self._wakeup_key)
             wakeup.callbacks.append(lambda _ev, gen=gen: self._on_wakeup(gen))
             return
 
@@ -214,7 +229,7 @@ class FlowNetwork:
         # float would wake us at the same timestamp with zero progress,
         # spinning forever.  One nanosecond is far below any modelled
         # effect and guarantees the clock moves.
-        wakeup = self.env.timeout(max(soonest, 1e-9))
+        wakeup = self.env.timeout_reserved(max(soonest, 1e-9), self._wakeup_key)
         wakeup.callbacks.append(lambda _ev, gen=gen: self._on_wakeup(gen))
 
     def _on_wakeup(self, generation: int) -> None:
@@ -231,4 +246,4 @@ class FlowNetwork:
             self.completed_flows += 1
             self.bytes_transferred += flow.nbytes
             flow.done.succeed(self.env.now - flow.start_time)
-        self._reallocate_and_schedule()
+        self._invalidate()

@@ -8,6 +8,7 @@ NIC's egress and the destination NIC's ingress.  Same-host transfers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict
 
@@ -42,8 +43,11 @@ class Topology:
         nic_bandwidth: float = GBIT,
         loopback_bandwidth: float = 4 * GBIT,
     ):
-        if nic_bandwidth <= 0 or loopback_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
+        for name, bandwidth in (("nic_bandwidth", nic_bandwidth),
+                                ("loopback_bandwidth", loopback_bandwidth)):
+            if not 0 < bandwidth < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {bandwidth}")
         self.env = env
         self.network = FlowNetwork(env)
         self.nic_bandwidth = nic_bandwidth

@@ -145,18 +145,16 @@ def decode_job_result(payload: Dict[str, Any]) -> Tuple[JobResult, float]:
 
 
 def _reset_run_ids() -> None:
-    """Restart the process-global id counters (rids, block ids, flow
-    ids) before each run.  The ids are pure labels, so results are
-    unchanged; what this buys is same-seed runs whose *traces* are
-    byte-identical even when earlier runs in this process consumed ids.
+    """Restart the process-global id counters (rids, block ids) before
+    each run.  The ids are pure labels, so results are unchanged; what
+    this buys is same-seed runs whose *traces* are byte-identical even
+    when earlier runs in this process consumed ids.
     """
     from ..disk.request import reset_rids
     from ..hdfs.blocks import reset_block_ids
-    from ..net.flow import reset_fids
 
     reset_rids()
     reset_block_ids()
-    reset_fids()
 
 
 @register("job")

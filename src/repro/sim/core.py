@@ -87,12 +87,36 @@ class Environment:
         floating point does not always round back to ``when``; this
         fires at exactly ``when``.
         """
-        if when < self._now:
-            raise ValueError(f"when={when} is in the past (now={self._now})")
+        if not when >= self._now:
+            raise ValueError(f"when={when} is not a time at or after now={self._now}")
         event = Event(self)
         event._value = value
         self._eid = eid = self._eid + 1
         heappush(self._queue, (when, NORMAL_KEY | eid, event))
+        return event
+
+    def reserve_order(self) -> int:
+        """Use up one insertion slot now; return its ``NORMAL`` heap key.
+
+        The key is the one a ``NORMAL`` event created now would get.  An
+        event later scheduled under it (:meth:`timeout_reserved`) runs
+        among same-time events exactly where it would have run had it
+        been created at the reservation, so a component may decide at
+        the end of an instant what it would have scheduled earlier in it.
+        """
+        self._eid = eid = self._eid + 1
+        return NORMAL_KEY | eid
+
+    def timeout_reserved(self, delay: float, key: int) -> Event:
+        """Create an event ``delay`` seconds from now under a reserved ``key``.
+
+        ``key`` comes from :meth:`reserve_order`; each key is for one event.
+        """
+        if not delay >= 0:
+            raise ValueError(f"delay must be a non-negative number, got {delay}")
+        event = Event(self)
+        event._value = None
+        heappush(self._queue, (self._now + delay, key, event))
         return event
 
     def process(self, generator: Generator) -> Process:
@@ -102,8 +126,8 @@ class Environment:
     # -- scheduling ---------------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Put ``event`` on the heap ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be a non-negative number, got {delay}")
         self._eid = eid = self._eid + 1
         heappush(self._queue, (self._now + delay, (priority << KEY_SHIFT) | eid, event))
 
@@ -146,8 +170,8 @@ class Environment:
                 at_event.callbacks.append(self._stop_at)
             else:
                 at = float(until)
-                if at < self._now:
-                    raise ValueError(f"until={at} is in the past (now={self._now})")
+                if not at >= self._now:
+                    raise ValueError(f"until={at} is not a time at or after now={self._now}")
                 stopper = Event(self)
                 stopper._ok = True
                 stopper._value = None

@@ -10,6 +10,7 @@ which is both exact and far cheaper.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Dict
 
 from .events import Event
@@ -41,8 +42,8 @@ class ProcessorSharingCPU:
     """
 
     def __init__(self, env: "Environment", capacity: float = 1.0, name: str = "cpu"):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        if not 0 < capacity < math.inf:
+            raise ValueError(f"capacity must be positive and finite, got {capacity}")
         self.env = env
         self.capacity = float(capacity)
         self.name = name
@@ -65,8 +66,8 @@ class ProcessorSharingCPU:
 
         Zero-work jobs complete immediately (at the next event step).
         """
-        if work < 0:
-            raise ValueError(f"negative work {work}")
+        if not 0 <= work < math.inf:
+            raise ValueError(f"work must be non-negative and finite, got {work}")
         job = CPUJob(self.env, work, label)
         if work == 0:
             job.succeed()

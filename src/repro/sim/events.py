@@ -187,8 +187,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also false for NaN
+            raise ValueError(f"delay must be a non-negative number, got {delay}")
         # Timeouts are the kernel's hottest allocation: initialise the
         # Event slots and push onto the heap directly instead of paying
         # super().__init__ plus env.schedule per yield.

@@ -95,11 +95,12 @@ class VirtualBlockDevice(ElevatorQueue):
         )
         physical.submit_time = request.submit_time
         done = self.backend.submit(physical)
-        self.env.process(self._await_backend(request, done))
+        # ``done`` has no other waiter, so a callback (no process)
+        # completes the request at the moment the backend fires it.
+        done.callbacks.append(lambda _ev: self._backend_done(request))
         return ()  # nothing to yield: dispatch continues immediately
 
-    def _await_backend(self, request: BlockRequest, done):
-        yield done
+    def _backend_done(self, request: BlockRequest) -> None:
         self._in_ring -= 1
         request.complete_time = self.env._now
         self.stats.on_complete(request, 0.0, 0.0, 0.0, 0.0)

@@ -1,6 +1,8 @@
 """Unit tests for the max-min fair flow network."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import FlowNetwork, Link, Topology
 from repro.sim import Environment
@@ -72,6 +74,26 @@ def test_invalid_transfer_args():
         net.transfer([Link("l", 10.0)], -1.0)
     with pytest.raises(ValueError):
         Link("bad", 0.0)
+
+
+def test_nan_and_infinite_sizes_rejected():
+    net = FlowNetwork(Environment())
+    for nbytes in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="nbytes"):
+            net.transfer([Link("l", 10.0)], nbytes)
+
+
+def test_nan_link_capacity_rejected():
+    with pytest.raises(ValueError, match="capacity"):
+        Link("l", float("nan"))
+
+
+def test_nan_topology_bandwidths_rejected():
+    env = Environment()
+    with pytest.raises(ValueError, match="nic_bandwidth"):
+        Topology(env, nic_bandwidth=float("nan"))
+    with pytest.raises(ValueError, match="loopback_bandwidth"):
+        Topology(env, loopback_bandwidth=float("nan"))
 
 
 def test_late_arrival_slows_existing_flow():
@@ -167,3 +189,102 @@ def test_add_host_idempotent():
     n1 = topo.add_host("a")
     n2 = topo.add_host("a")
     assert n1 is n2
+
+
+# -- one solve per instant, held to the eager re-solve --------------------------
+
+
+class EagerFlowNetwork(FlowNetwork):
+    """Reference: re-solve at every flow start and finish, at once."""
+
+    def _invalidate(self):
+        if self._flows:
+            self._wakeup_key = self.env.reserve_order()
+        self._reallocate_and_schedule()
+
+
+class CountingFlowNetwork(FlowNetwork):
+    solves = 0
+
+    def _reallocate_and_schedule(self):
+        self.solves += 1
+        super()._reallocate_and_schedule()
+
+
+def test_transfers_in_one_instant_share_one_solve():
+    env = Environment()
+    net = CountingFlowNetwork(env)
+    link = Link("l", 100.0)
+    for _ in range(10):
+        net.transfer([link], 100.0)
+    env.run()
+    assert net.solves == 1
+    assert env.now == pytest.approx(10.0)
+
+
+def test_a_wakeup_keeps_its_place_among_same_time_events():
+    # A's wakeup was due at t=1.0 before B's timeout was created, so A
+    # finishes first and B's transfer starts on an idle link.  Were the
+    # wakeup created at the deferred solve, B's timeout would run first
+    # and re-solve while A had 0 bytes left: A would end at 1.000000001.
+    env = Environment()
+    net = FlowNetwork(env)
+    link = Link("l", 100.0)
+    ends = {}
+
+    def a():
+        yield net.transfer([link], 100.0)
+        ends["A"] = env.now
+
+    def b():
+        yield env.timeout(1.0)
+        yield net.transfer([link], 100.0)
+        ends["B"] = env.now
+
+    env.process(a())
+    env.process(b())
+    env.run()
+    assert ends == {"A": 1.0, "B": 2.0}
+
+
+SIZES = (0.0, 50.0, 100.0, 200.0)
+SLEEPS = (0.0, 0.5, 1.0)
+STEPS = st.one_of(
+    st.tuples(st.just("sleep"), st.sampled_from(SLEEPS)),
+    st.tuples(st.just("send"), st.integers(0, 2), st.integers(0, 2),
+              st.sampled_from(SIZES)),
+)
+
+
+def run_scripts(network_cls, scripts):
+    """Run each script as a process; log ``(process, step, now, elapsed)``."""
+    env = Environment()
+    net = network_cls(env)
+    nics = [(Link(f"h{h}.tx", 100.0), Link(f"h{h}.rx", 100.0),
+             Link(f"h{h}.lo", 400.0)) for h in range(3)]
+    log = []
+
+    def proc(pid, script):
+        for step, (kind, *args) in enumerate(script):
+            if kind == "sleep":
+                elapsed = yield env.timeout(args[0], value=args[0])
+            else:
+                src, dst, nbytes = args
+                links = ([nics[src][2]] if src == dst
+                         else [nics[src][0], nics[dst][1]])
+                elapsed = yield net.transfer(links, nbytes)
+            log.append((pid, step, env.now, elapsed))
+
+    for pid, script in enumerate(scripts):
+        env.process(proc(pid, script))
+    env.run()
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(STEPS, min_size=1, max_size=6), min_size=1,
+                max_size=6))
+def test_batched_solve_matches_the_eager_solve(scripts):
+    # Small size and sleep sets make exact time ties common.
+    assert run_scripts(FlowNetwork, scripts) == \
+        run_scripts(EagerFlowNetwork, scripts)

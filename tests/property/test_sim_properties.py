@@ -91,11 +91,16 @@ def test_max_min_allocation_respects_capacities(n_narrow, n_wide):
         net.transfer([narrow, wide], 1e6)
     for _ in range(n_wide):
         net.transfer([wide], 1e6)
-    # Inspect rates immediately after allocation.
+    # Rates are solved once per instant: run through this one (no flow
+    # can finish in a nanosecond), then inspect them.
+    env.run(until=1e-9)
     flows = list(net._flows)
     for link in (narrow, wide):
         used = sum(f.rate for f in flows if link in f.links)
         assert used <= link.capacity + 1e-6
+        # Max-min saturates both: narrow flows take all 10, wide-only
+        # flows the other 90 of the wide link.
+        assert used == pytest.approx(link.capacity)
     # Narrow flows share the narrow link equally.
     narrow_rates = sorted(f.rate for f in flows if narrow in f.links)
     assert narrow_rates[-1] - narrow_rates[0] < 1e-6

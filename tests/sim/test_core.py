@@ -113,3 +113,47 @@ def test_timeout_at_now_and_past():
     assert env.now == 1.0
     with pytest.raises(ValueError):
         env.timeout_at(0.5)
+
+
+# -- NaN times: rejected where they enter, so the clock cannot run backwards --
+
+
+def test_timeout_rejects_a_nan_delay():
+    with pytest.raises(ValueError, match="delay"):
+        Environment().timeout(float("nan"))
+
+
+def test_timeout_at_rejects_a_nan_time():
+    with pytest.raises(ValueError, match="when"):
+        Environment().timeout_at(float("nan"))
+
+
+def test_schedule_rejects_a_nan_delay():
+    env = Environment()
+    with pytest.raises(ValueError, match="delay"):
+        env.schedule(env.event(), delay=float("nan"))
+
+
+def test_run_rejects_a_nan_until():
+    with pytest.raises(ValueError, match="until"):
+        Environment().run(until=float("nan"))
+
+
+def test_timeout_reserved_rejects_a_nan_delay():
+    env = Environment()
+    with pytest.raises(ValueError, match="delay"):
+        env.timeout_reserved(float("nan"), env.reserve_order())
+
+
+# -- reserved order keys ------------------------------------------------------
+
+
+def test_reserved_key_runs_where_the_event_would_have_been_created():
+    env = Environment()
+    fired = []
+    key = env.reserve_order()
+    env.timeout(1.0).callbacks.append(lambda ev: fired.append("created later"))
+    env.timeout_reserved(1.0, key).callbacks.append(
+        lambda ev: fired.append("reserved"))
+    env.run()
+    assert fired == ["reserved", "created later"]

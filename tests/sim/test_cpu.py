@@ -116,3 +116,14 @@ def test_many_staggered_jobs_all_complete():
     # last completion, so the makespan equals the total work (mod float
     # accumulation error).
     assert env.now == pytest.approx(total)
+
+
+def test_nan_capacity_rejected():
+    with pytest.raises(ValueError, match="capacity"):
+        ProcessorSharingCPU(Environment(), capacity=float("nan"))
+
+
+def test_nan_work_rejected():
+    cpu = ProcessorSharingCPU(Environment())
+    with pytest.raises(ValueError, match="work"):
+        cpu.execute(float("nan"))
