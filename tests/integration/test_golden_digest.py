@@ -102,7 +102,11 @@ def test_inert_fault_plan_matches_golden_digest():
 #: switch plan and SSDs.  All on the 2x2 testbed at scale 0.05, except
 #: the two ``job_4x4`` pins: perfbench's ``pair_sweep`` job at scale
 #: 1/32 on 4 hosts x 4 VMs, whose 16 shuffle routes carry up to 160
-#: live flows (the 2x2 pins never pass a handful).
+#: live flows (the 2x2 pins never pass a handful); and
+#: ``online_sort_switching``, a scale-0.1 sort long enough for the
+#: reactive controller's 2 s windows to switch each host on its own
+#: (at t=6.0, h0 to (CFQ, DL) and h1 to (AS, DL)); the scale-0.05
+#: ``online_sort`` job ends before it ever decides.
 PINNED_DIGESTS = {
     "job_cc_ad":
         "d0b2f7dc22899b4d634b7dd5f456618b88a85a1242167f23137c839022521730",
@@ -116,6 +120,8 @@ PINNED_DIGESTS = {
         "41938e06d032e0857f08ebdfda63a9154b0aa93e027a887077a0ddc757672ee2",
     "online_sort":
         "e0825ba863c4a5c6d694149f3dfe6acb7804cd81de433b33a2a492fa1ba768c2",
+    "online_sort_switching":
+        "a712a2c1c0c95fa364597abd9ddeb88cdb241d771f1d656ba841ffb34c5ccb67",
     "controlled_job_hysteresis_light_interference":
         "bb560313b95bc5c859884561e9dd06b991d467e9487112838d1ead6326306dad",
     "dd_mid_run_switch":
@@ -176,6 +182,8 @@ def pinned_spec(name):
     testbed, _ = golden_config()
     cluster, job = testbed.cluster, testbed.job
     cc, ac, ad, dd = (SchedulerPair.parse(s) for s in ("cc", "ac", "ad", "dd"))
+    online = scaled_testbed(SORT, scale=0.1, hosts=2, vms_per_host=2,
+                            seeds=(0,))
     configs = {
         "job_cc_ad": ("job", (testbed, Solution((cc, ad)))),
         "job_cc_ad_dd": ("job", (testbed.with_(n_phases=3),
@@ -189,6 +197,8 @@ def pinned_spec(name):
         "sort_custom_zero_anticipation": (
             "sort_custom", (cluster.with_(initial_pair=ac), job, True)),
         "online_sort": ("online_sort", (cluster, job)),
+        "online_sort_switching": ("online_sort", (online.cluster,
+                                                  online.job)),
         "controlled_job_hysteresis_light_interference": ("controlled_job", (
             testbed,
             CtrlConfig(policy="hysteresis", phase_pairs=("cc", "ad"),
