@@ -34,6 +34,7 @@ Quickstart::
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -51,7 +52,7 @@ from .faults.plan import FaultPlan
 from .hdfs.namenode import NameNode
 from .mapreduce.job import MB, JobConfig, JobSpec
 from .mapreduce.jobtracker import MapReduceJob
-from .mapreduce.multijob import JOB_SCHEDULERS, MultiJobConfig, SwitchPlan
+from .mapreduce.multijob import MultiJobConfig, SwitchPlan
 from .mapreduce.phases import JobResult
 from .net.topology import Topology
 from .sim.core import Environment, finish_event_census, start_event_census
@@ -153,7 +154,6 @@ def scaled_cluster(
     vms_per_host: int = 4,
     seed: int = 0,
     storage: str = "hdd",
-    storage_overrides: Tuple[Tuple[int, str], ...] = (),
 ) -> ClusterConfig:
     """The paper's testbed shape with scaled guest memory sizing.
 
@@ -166,7 +166,6 @@ def scaled_cluster(
         hosts=hosts,
         vms_per_host=vms_per_host,
         storage=storage,
-        storage_overrides=tuple(storage_overrides),
         pagecache=scaled_pagecache(scale),
         seed=seed,
     )
@@ -182,10 +181,13 @@ def scaled_job(
 
     Defaults keep the paper's 8 blocks per VM (4 map waves at 2 slots)
     whatever the scale, because the wave count — not the absolute bytes —
-    controls the phase structure (paper Table II).
+    controls the phase structure (paper Table II).  A positive
+    ``bytes_per_vm`` below one block rounds up to one block per VM.
     """
     if bytes_per_vm is None:
         bytes_per_vm = int(512 * MB * scale)
+    elif bytes_per_vm <= 0:
+        raise ValueError(f"bytes_per_vm must be positive, got {bytes_per_vm}")
     block_size = max(1 * MB, bytes_per_vm // 8)
     # Keep the input an exact multiple of the block size so the wave
     # count stays exactly 8/slots (a remainder byte would add a block).
@@ -209,14 +211,12 @@ def scaled_testbed(
     n_phases: int = 2,
     bytes_per_vm: Optional[int] = None,
     storage: str = "hdd",
-    storage_overrides: Tuple[Tuple[int, str], ...] = (),
     **job_overrides,
 ) -> TestbedConfig:
     """One-stop testbed for experiments and examples."""
     return TestbedConfig(
         cluster=scaled_cluster(scale, hosts=hosts, vms_per_host=vms_per_host,
-                               storage=storage,
-                               storage_overrides=storage_overrides),
+                               storage=storage),
         job=scaled_job(spec, scale, bytes_per_vm=bytes_per_vm, **job_overrides),
         seeds=tuple(seeds),
         n_phases=n_phases,
@@ -357,21 +357,6 @@ def run_job(
 # -- the scenario builder ------------------------------------------------------------
 
 
-def _validate_storage(
-    storage: str, overrides: Tuple[Tuple[int, str], ...]
-) -> None:
-    """Reject unknown backend names at scenario construction.
-
-    Runs in scenario ``__post_init__`` — outside the pure ``to_spec``
-    lowering path — so the registry read stays out of the cache-key
-    call graph (CACHE001) while bad names still fail fast with the
-    registered alternatives listed.
-    """
-    resolve_storage(storage)
-    for _host, name in overrides:
-        resolve_storage(name)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A declarative description of one simulated MapReduce experiment.
@@ -401,18 +386,20 @@ class Scenario:
     #: Storage backend for every host (``repro.disk.backend`` registry:
     #: hdd/ssd/hybrid); validated here, lowered as plain data.
     storage: str = "hdd"
-    #: Per-host backend overrides as ``(host_index, name)`` pairs.
-    storage_overrides: Tuple[Tuple[int, str], ...] = ()
     label: str = ""
 
     def __post_init__(self) -> None:
         validate_scale(self.scale)
-        _validate_storage(self.storage, self.storage_overrides)
+        resolve_storage(self.storage)
         if self.plan is not None and len(self.plan) != self.n_phases:
             raise ValueError(
                 f"plan has {len(self.plan)} phases, scenario expects "
                 f"{self.n_phases}"
             )
+        # Lower once, as to_spec would: a bad workload, pair, phase
+        # count, shape or size fails here, not in the first run.
+        self.testbed()
+        self.solution()
 
     def with_(self, **changes) -> "Scenario":
         return replace(self, **changes)
@@ -443,7 +430,6 @@ class Scenario:
             n_phases=self.n_phases,
             bytes_per_vm=self.bytes_per_vm,
             storage=self.storage,
-            storage_overrides=self.storage_overrides,
         )
 
     def to_spec(self, seed: int = 0) -> "RunSpec":
@@ -503,25 +489,23 @@ class MultiJobScenario:
     #: Full arrival process; overrides the poisson fields when set.
     arrivals: Optional[ArrivalConfig] = None
     bytes_per_vm: Optional[int] = None
-    #: Storage backend name (hdd/ssd/hybrid) + per-host overrides.
+    #: Storage backend name (hdd/ssd/hybrid).
     storage: str = "hdd"
-    storage_overrides: Tuple[Tuple[int, str], ...] = ()
     label: str = ""
 
     def __post_init__(self) -> None:
         validate_scale(self.scale)
-        _validate_storage(self.storage, self.storage_overrides)
+        resolve_storage(self.storage)
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
-        if self.scheduler not in JOB_SCHEDULERS:
+        if not 0 < self.arrival_rate < math.inf:
             raise ValueError(
-                f"unknown job scheduler {self.scheduler!r}; choose from "
-                f"{sorted(JOB_SCHEDULERS)}"
-            )
-        if self.arrivals is None and not self.tenants:
-            raise ValueError("at least one tenant is required")
+                f"arrival_rate must be finite and positive, got "
+                f"{self.arrival_rate}")
+        # Lower once, as to_spec would: a bad workload, pair, switch,
+        # job scheduler, tenant list, shape or size fails here, not in
+        # the first run.
+        self.multi_job_config()
 
     def with_(self, **changes) -> "MultiJobScenario":
         return replace(self, **changes)
@@ -559,7 +543,7 @@ class MultiJobScenario:
     def multi_job_config(self) -> MultiJobConfig:
         cluster = scaled_cluster(
             self.scale, hosts=self.hosts, vms_per_host=self.vms_per_host,
-            storage=self.storage, storage_overrides=self.storage_overrides,
+            storage=self.storage,
         )
         if self.pair is not None:
             pair = (SchedulerPair.parse(self.pair)
@@ -627,20 +611,22 @@ class ControlledScenario:
     #: Background co-tenant write volume (bytes; 0 = none).
     interference_bytes: int = 0
     bytes_per_vm: Optional[int] = None
-    #: Storage backend name (hdd/ssd/hybrid) + per-host overrides.
+    #: Storage backend name (hdd/ssd/hybrid).
     storage: str = "hdd"
-    storage_overrides: Tuple[Tuple[int, str], ...] = ()
     label: str = ""
 
     def __post_init__(self) -> None:
         validate_scale(self.scale)
-        _validate_storage(self.storage, self.storage_overrides)
+        resolve_storage(self.storage)
         if self.phase_pairs and len(self.phase_pairs) != self.n_phases:
             raise ValueError(
                 f"phase_pairs has {len(self.phase_pairs)} entries, "
                 f"scenario expects {self.n_phases}"
             )
-        self.ctrl_config()  # validates the policy, labels and knob ranges
+        # Lower once, as to_spec would: the policy, labels and knob
+        # ranges, then the workload, phase count, shape and size.
+        self.ctrl_config()
+        self.testbed()
 
     def with_(self, **changes) -> "ControlledScenario":
         return replace(self, **changes)
@@ -678,7 +664,6 @@ class ControlledScenario:
             n_phases=self.n_phases,
             bytes_per_vm=self.bytes_per_vm,
             storage=self.storage,
-            storage_overrides=self.storage_overrides,
         )
 
     def to_spec(self, seed: int = 0) -> "RunSpec":

@@ -5,14 +5,13 @@ within the same physical node and is based on the status of the VMs'
 I/O (i.e. the number of request); using this we can switch to the most
 suitable pair schedulers."
 
-The controller samples each host's Dom0 I/O over a sliding window —
-synchronous-read share and queue pressure — classifies the current
-regime, and hot-switches the host's pair when a different regime
-persists long enough (hysteresis), *without any offline profiling
-runs*.  The rule table encodes the per-phase preferences the offline
-study discovers: anticipatory VMM for sync-read-heavy periods,
-deadline-flavoured pairs for write-dominated periods, CFQ as the mixed
-fallback.
+The controller samples each host's Dom0 read-byte share over fixed
+windows, classifies the current regime, and hot-switches that host's
+pair alone when a different regime persists long enough (hysteresis),
+*without any offline profiling runs*.  The rule table encodes the
+per-phase preferences the offline study discovers: (AS, CFQ) for
+read-heavy windows, (CFQ, DL) for write-heavy ones, and (AS, DL) for
+the mix between.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ class OnlinePolicy:
     sample_interval: float = 2.0
     #: Consecutive windows a regime must persist before switching.
     hysteresis: int = 2
-    #: Sync-read byte share above which the regime is read-heavy.
+    #: Read byte share above which the regime is read-heavy.
     read_heavy_share: float = 0.55
-    #: Sync-read byte share below which the regime is write-heavy.
+    #: Read byte share below which the regime is write-heavy.
     write_heavy_share: float = 0.25
     read_heavy: Regime = Regime("read-heavy", SchedulerPair("anticipatory", "cfq"))
     write_heavy: Regime = Regime("write-heavy", SchedulerPair("cfq", "deadline"))

@@ -91,14 +91,14 @@ class CtrlConfig:
                 f"{self.policy} needs phase_pairs starting with the map "
                 f"phase's pair initial={self.initial!r}, got "
                 f"{self.phase_pairs!r}")
-        if self.dwell < 0:
-            raise ValueError(f"dwell must be >= 0, got {self.dwell}")
-        if self.cost_factor < 0:
-            raise ValueError(
-                f"cost_factor must be >= 0, got {self.cost_factor}")
-        if self.cost_budget < 0:
-            raise ValueError(
-                f"cost_budget must be >= 0, got {self.cost_budget}")
+        # ``not x >= 0`` also rejects NaN, which every comparison in
+        # the policies would read as False; inf stays valid (a
+        # cost_factor of inf never switches).
+        for name, value in (("dwell", self.dwell),
+                            ("cost_factor", self.cost_factor),
+                            ("cost_budget", self.cost_budget)):
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if not 0 <= self.epsilon <= 1:
             raise ValueError(
                 f"epsilon must be in [0, 1], got {self.epsilon}")

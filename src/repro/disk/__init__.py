@@ -1,8 +1,7 @@
 """Block-storage substrate: requests, geometry, timing, pluggable devices.
 
 Backends (HDD spindle, FTL SSD, hybrid) are picked by name through the
-:mod:`repro.disk.backend` registry; an optional host buffer-cache tier
-(:mod:`repro.disk.cachetier`) can front any of them.
+:mod:`repro.disk.backend` registry.
 """
 
 from .backend import (
@@ -10,11 +9,9 @@ from .backend import (
     StorageParams,
     UnknownStorageError,
     make_device,
-    register_storage,
     resolve_storage,
     storage_names,
 )
-from .cachetier import CacheTier, CacheTierParams
 from .device import DiskDevice
 from .geometry import DiskGeometry
 from .model import DiskParameters, ServiceBreakdown, ServiceTimeModel
@@ -25,8 +22,6 @@ from .stats import DeviceStats
 __all__ = [
     "SECTOR_SIZE",
     "BlockRequest",
-    "CacheTier",
-    "CacheTierParams",
     "DeviceStats",
     "DiskDevice",
     "DiskGeometry",
@@ -40,7 +35,6 @@ __all__ = [
     "StorageParams",
     "UnknownStorageError",
     "make_device",
-    "register_storage",
     "resolve_storage",
     "storage_names",
 ]

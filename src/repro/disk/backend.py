@@ -1,29 +1,21 @@
 """Pluggable storage backends: pick a block device by name.
 
-The virtual layer historically hard-wired ``DiskDevice`` — the paper's
-single-spindle HDD — into every host.  This module turns the device
-choice into a registry keyed by short names:
+The device choice is a fixed table keyed by short names:
 
 * ``"hdd"`` — the seek-curve spindle (:class:`~repro.disk.device.DiskDevice`);
 * ``"ssd"`` — the FTL flash device (:class:`~repro.disk.ssd.SsdDevice`);
 * ``"hybrid"`` — heterogeneous clusters: even-indexed hosts get HDDs,
-  odd-indexed hosts get SSDs (overridable per host via
-  ``ClusterConfig.storage_overrides``).
+  odd-indexed hosts get SSDs.
 
 A backend factory takes ``(env, params, rng)`` — the simulation
 environment, a :class:`StorageParams` bundle, and the host's dedicated
 RNG stream — plus the queue-level keywords every
-:class:`~repro.disk.device.ElevatorQueue` shares.  Register new
-backends with :func:`register_storage`; unknown names raise
-:class:`UnknownStorageError` listing what is registered (mirroring
+:class:`~repro.disk.device.ElevatorQueue` shares.  Unknown names raise
+:class:`UnknownStorageError` listing the known ones (mirroring
 :class:`~repro.iosched.registry.UnknownSchedulerError`).
 
-Purity note: the registry dict is mutated at import time by the
-``@register_storage`` decorators, so nothing reachable from a spec
-``canonical()``/``to_spec`` path may read it.  Scenario constructors
-validate names (they are outside that path); ``ClusterConfig`` itself
-carries the name as a plain string and resolution happens only at
-cluster *build* time.
+``ClusterConfig`` carries the name as a plain string; it is resolved
+only at cluster *build* time, and scenario constructors validate it.
 """
 
 from __future__ import annotations
@@ -36,7 +28,6 @@ import numpy as np
 from ..iosched.base import IOScheduler
 from ..sim.events import Event
 from ..sim.rng import fallback_rng
-from .cachetier import CacheTierParams
 from .device import DiskDevice
 from .geometry import DiskGeometry
 from .model import DiskParameters, ServiceTimeModel
@@ -52,16 +43,15 @@ __all__ = [
     "StorageParams",
     "UnknownStorageError",
     "make_device",
-    "register_storage",
     "resolve_storage",
     "storage_names",
 ]
 
 
 class UnknownStorageError(KeyError, ValueError):
-    """An unregistered storage-backend name.
+    """An unknown storage-backend name.
 
-    Subclasses both ``KeyError`` (it is a failed registry lookup) and
+    Subclasses both ``KeyError`` (it is a failed table lookup) and
     ``ValueError`` (it is an invalid argument), so call sites guarding
     either way catch it — same contract as ``UnknownSchedulerError``.
     """
@@ -103,7 +93,7 @@ class StorageBackend(Protocol):
 class StorageParams:
     """Everything a backend factory may need to build one host's device.
 
-    One bundle covers every registered backend: HDD factories read the
+    One bundle covers every backend: HDD factories read the
     mechanical fields, SSD factories read ``ssd``, and ``host_index``
     lets heterogeneous backends differentiate hosts.  All fields are
     canonical-friendly, matching their lowering from
@@ -113,35 +103,19 @@ class StorageParams:
     geometry: DiskGeometry = field(default_factory=DiskGeometry)
     disk_params: DiskParameters = field(default_factory=DiskParameters)
     ssd: SsdParameters = field(default_factory=SsdParameters)
-    cache_tier: CacheTierParams = field(default_factory=CacheTierParams)
     host_index: int = 0
 
 
-#: name -> factory(env, params, rng, *, scheduler, name, trace,
-#:                 switch_control_latency)
-_BACKENDS: Dict[str, Callable] = {}
-
-
-def register_storage(name: str) -> Callable[[Callable], Callable]:
-    """Class decorator-style registration of a storage backend factory."""
-
-    def decorate(factory: Callable) -> Callable:
-        _BACKENDS[name] = factory
-        return factory
-
-    return decorate
-
-
 def storage_names() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
+    """Known backend names, sorted."""
     return tuple(sorted(_BACKENDS))
 
 
 def resolve_storage(name: str) -> str:
     """Validate a backend name; returns it unchanged.
 
-    Raises :class:`UnknownStorageError` naming the registered backends
-    when ``name`` is not one of them.
+    Raises :class:`UnknownStorageError` naming the known backends when
+    ``name`` is not one of them.
     """
     if name not in _BACKENDS:
         raise UnknownStorageError(
@@ -173,7 +147,6 @@ def make_device(
     )
 
 
-@register_storage("hdd")
 def _make_hdd(env, params, rng, *, scheduler, name, trace,
               switch_control_latency):
     # Construction order matches the historical PhysicalHost wiring
@@ -194,7 +167,6 @@ def _make_hdd(env, params, rng, *, scheduler, name, trace,
     )
 
 
-@register_storage("ssd")
 def _make_ssd(env, params, rng, *, scheduler, name, trace,
               switch_control_latency):
     # The FTL model is RNG-free; the stream is accepted (factory
@@ -210,7 +182,6 @@ def _make_ssd(env, params, rng, *, scheduler, name, trace,
     )
 
 
-@register_storage("hybrid")
 def _make_hybrid(env, params, rng, *, scheduler, name, trace,
                  switch_control_latency):
     backend = _make_hdd if params.host_index % 2 == 0 else _make_ssd
@@ -221,3 +192,12 @@ def _make_hybrid(env, params, rng, *, scheduler, name, trace,
         trace=trace,
         switch_control_latency=switch_control_latency,
     )
+
+
+#: name -> factory(env, params, rng, *, scheduler, name, trace,
+#:                 switch_control_latency)
+_BACKENDS: Dict[str, Callable] = {
+    "hdd": _make_hdd,
+    "ssd": _make_ssd,
+    "hybrid": _make_hybrid,
+}

@@ -49,7 +49,6 @@ class ElevatorQueue(abc.ABC):
         name: str,
         trace: Optional["TraceBus"] = None,
         switch_control_latency: float = 0.050,
-        quiesce_holds_arrivals: bool = False,
     ):
         self.env = env
         self.scheduler = scheduler
@@ -57,25 +56,12 @@ class ElevatorQueue(abc.ABC):
         self.trace = trace
         #: Fixed control-plane latency of one sysfs elevator write.
         self.switch_control_latency = switch_control_latency
-        #: True → arrivals during a switch block at admission
-        #: (``elv_may_queue`` semantics); False → they join the dispatch
-        #: FIFO unscheduled (``ELVSWITCH`` bypass semantics, the 2.6
-        #: default) and are served noop-style until the new elevator is
-        #: in place.  Bypass is the default because holding arrivals
-        #: turns the switch into a cluster-wide barrier whose convoy
-        #: effect can *reward* switching — the opposite of the measured
-        #: reality.
-        self.quiesce_holds_arrivals = quiesce_holds_arrivals
 
-        #: Old-elevator requests being drained during a switch (they are
-        #: dispatched with priority, in the old policy's order).
+        #: The dispatch FIFO of a switch: the old elevator's drained
+        #: requests in its policy order, then arrivals during the switch,
+        #: which bypass scheduling (``ELVSWITCH``) and are served
+        #: noop-style until the new elevator is in place.
         self._drain_fifo: Deque[BlockRequest] = deque()
-        #: Requests submitted while a switch is in progress.  The 2.6
-        #: kernel blocks submitters at ``elv_may_queue`` until the queue
-        #: is un-quiesced, so these are *held*, not dispatched — the
-        #: stall this causes under load is the bulk of the paper's
-        #: switching cost.
-        self._held: Deque[BlockRequest] = deque()
         #: rids of old-elevator requests the switch must see complete.
         self._drain_watch: set = set()
         self._switching = False
@@ -113,8 +99,8 @@ class ElevatorQueue(abc.ABC):
     # -- public API ----------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        """Requests queued (scheduler + switch FIFOs), excluding outstanding."""
-        return self.scheduler.pending + len(self._drain_fifo) + len(self._held)
+        """Requests queued (scheduler + switch FIFO), excluding outstanding."""
+        return self.scheduler.pending + len(self._drain_fifo)
 
     @property
     def idle(self) -> bool:
@@ -128,14 +114,9 @@ class ElevatorQueue(abc.ABC):
             request.submit_time = now
         request.completion = Event(self.env)
         if self._switching:
-            if self.quiesce_holds_arrivals:
-                # Quiesced: the submitter blocks until the new elevator
-                # is installed.
-                self._held.append(request)
-            else:
-                # ELVSWITCH bypass: straight onto the dispatch FIFO,
-                # unsorted and unmerged.
-                self._drain_fifo.append(request)
+            # ELVSWITCH bypass: straight onto the dispatch FIFO,
+            # unsorted and unmerged.
+            self._drain_fifo.append(request)
         else:
             self.scheduler.add_request(request, now)
         self.unfinished += 1
@@ -210,26 +191,18 @@ class ElevatorQueue(abc.ABC):
         self._kick()
 
         # Wait until the old elevator's backlog has cleared the device
-        # (2.6 waits for the quiesced requests to finish; requests that
+        # (2.6 waits for the drained requests to finish; requests that
         # arrive meanwhile flow via the bypass FIFO and do not extend
         # the wait).
         while self._drain_watch:
             waiter = self.env.event()
             self._switch_waiters.append(waiter)
             yield waiter
-        while self._outstanding() > 0 and self.quiesce_holds_arrivals:
-            waiter = self.env.event()
-            self._switch_waiters.append(waiter)
-            yield waiter
 
+        # The fresh elevator starts cold: empty merge hash, no
+        # anticipation history, fresh CFQ slices.
         self.scheduler = factory()
         self._switching = False
-        # Un-quiesce: requests that blocked during the switch enter the
-        # fresh elevator (which starts cold: empty merge hash, no
-        # anticipation history, fresh CFQ slices).
-        now = self.env.now
-        while self._held:
-            self.scheduler.add_request(self._held.popleft(), now)
         if self.trace is not None:
             self.trace.publish(
                 self.env.now,
@@ -292,7 +265,8 @@ class ElevatorQueue(abc.ABC):
             if self._drain_fifo:
                 decision = DispatchDecision(request=self._drain_fifo.popleft())
             elif self._switching:
-                decision = DispatchDecision()  # held requests wait out the switch
+                # The old elevator dispatches nothing during a switch.
+                decision = DispatchDecision()
             else:
                 decision = self.scheduler.next_request(env._now)
             request = decision.request
@@ -357,7 +331,6 @@ class DiskDevice(ElevatorQueue):
         trace: Optional["TraceBus"] = None,
         stats: Optional[DeviceStats] = None,
         switch_control_latency: float = 0.050,
-        quiesce_holds_arrivals: bool = False,
     ):
         self.model = model
         self.stats = stats or DeviceStats()
@@ -367,8 +340,7 @@ class DiskDevice(ElevatorQueue):
         #: leave modelled service times bit-identical.
         self.service_scale = 1.0
         self.extra_latency = 0.0
-        super().__init__(env, scheduler, name, trace, switch_control_latency,
-                         quiesce_holds_arrivals)
+        super().__init__(env, scheduler, name, trace, switch_control_latency)
 
     # -- ElevatorQueue hooks -----------------------------------------------------
     def _outstanding(self) -> int:

@@ -114,7 +114,6 @@ class SsdDevice(ElevatorQueue):
         trace: Optional["TraceBus"] = None,
         stats: Optional[DeviceStats] = None,
         switch_control_latency: float = 0.050,
-        quiesce_holds_arrivals: bool = False,
     ):
         self.params = params or SsdParameters()
         self.stats = stats or DeviceStats()
@@ -152,8 +151,7 @@ class SsdDevice(ElevatorQueue):
         self.cache_coalesced = 0  # re-dirtied pages absorbed in cache
         self.cache_read_hits = 0
 
-        super().__init__(env, scheduler, name, trace, switch_control_latency,
-                         quiesce_holds_arrivals)
+        super().__init__(env, scheduler, name, trace, switch_control_latency)
 
         #: per NAND channel: time its last booked operation finishes
         self._chan_busy: List[float] = [0.0] * self.params.channels

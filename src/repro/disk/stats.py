@@ -1,9 +1,8 @@
-"""Per-device statistics: throughput samplers, latencies, seek accounting."""
+"""Per-device statistics: throughput samplers, byte counts, seek accounting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 from ..sim.tracing import IntervalSampler
 from .request import SECTOR_SIZE, BlockRequest, IoOp
@@ -31,9 +30,6 @@ class DeviceStats:
     seek_time: float = 0.0
     rotation_time: float = 0.0
     transfer_time: float = 0.0
-    latencies: List[float] = field(default_factory=list)
-    #: Set True to keep per-request latencies (memory vs detail).
-    keep_latencies: bool = True
 
     def __post_init__(self) -> None:
         self.throughput = IntervalSampler(interval=self.sample_interval)
@@ -54,10 +50,7 @@ class DeviceStats:
         self.seek_time += seek
         self.rotation_time += rotation
         self.transfer_time += transfer
-        complete_time = request.complete_time
-        self.throughput._events.append((complete_time, nbytes))
-        if self.keep_latencies and request.queue_time is not None:
-            self.latencies.append(complete_time - request.queue_time)
+        self.throughput._events.append((request.complete_time, nbytes))
 
     @property
     def total_bytes(self) -> int:
@@ -66,12 +59,6 @@ class DeviceStats:
     @property
     def total_requests(self) -> int:
         return self.read_count + self.write_count
-
-    def mean_throughput(self, duration: float) -> float:
-        """Average bytes/second over ``duration``."""
-        if duration <= 0:
-            return 0.0
-        return self.total_bytes / duration
 
     def utilization(self, duration: float) -> float:
         """Fraction of ``duration`` the spindle was busy."""

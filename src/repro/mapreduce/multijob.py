@@ -183,8 +183,10 @@ class SwitchPlan:
     min_dwell: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.min_dwell < 0:
-            raise ValueError("min_dwell must be non-negative")
+        # ``not >=`` also rejects NaN, which would disable the dwell.
+        if not self.min_dwell >= 0:
+            raise ValueError(
+                f"min_dwell must be non-negative, got {self.min_dwell}")
 
 
 @dataclass(frozen=True)

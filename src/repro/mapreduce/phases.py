@@ -85,9 +85,8 @@ class JobResult:
     fault_stats: Dict[str, int] = field(default_factory=dict)
     #: Per-device storage-backend counters (empty for all-HDD clusters,
     #: which report nothing — keeping their payloads bit-identical).
-    #: SSDs contribute FTL counters (write amplification, GC cycles),
-    #: cache tiers their hit/miss ledgers.  See
-    #: :meth:`repro.virt.cluster.VirtualCluster.storage_stats`.
+    #: SSDs contribute FTL counters (write amplification, GC cycles).
+    #: See :meth:`repro.virt.cluster.VirtualCluster.storage_stats`.
     storage: Dict[str, Dict] = field(default_factory=dict)
 
     @property

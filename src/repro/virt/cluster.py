@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..disk.backend import StorageParams
-from ..disk.cachetier import CacheTierParams
 from ..disk.geometry import DiskGeometry
 from ..disk.model import DiskParameters
 from ..disk.ssd import SsdParameters
@@ -41,14 +40,9 @@ class ClusterConfig:
     #: resolved only at build time, never during spec canonicalisation,
     #: so the config stays a pure cache-key ingredient.
     storage: str = "hdd"
-    #: Per-host overrides as ``(host_index, backend_name)`` pairs, for
-    #: hand-built heterogeneous clusters beyond the ``hybrid`` parity
-    #: rule.
-    storage_overrides: Tuple[Tuple[int, str], ...] = ()
     geometry: DiskGeometry = field(default_factory=DiskGeometry)
     disk_params: DiskParameters = field(default_factory=DiskParameters)
     ssd: SsdParameters = field(default_factory=SsdParameters)
-    cache_tier: CacheTierParams = field(default_factory=CacheTierParams)
     pagecache: PageCacheParams = field(default_factory=PageCacheParams)
     #: Seconds of work per second: 1 VCPU pinned to one core.
     vm_cpu_capacity: float = 1.0
@@ -58,9 +52,14 @@ class ClusterConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # numpy's SeedSequence would reject it later, naming no field.
-        if self.seed < 0:
-            raise ValueError(f"ClusterConfig.seed must be >= 0, got {self.seed}")
+        # Each would otherwise fail deep in the build or the run (the
+        # shuffle plan, numpy's SeedSequence), naming no field.
+        for name, value, low in (("hosts", self.hosts, 1),
+                                 ("vms_per_host", self.vms_per_host, 1),
+                                 ("seed", self.seed, 0)):
+            if value < low:
+                raise ValueError(
+                    f"ClusterConfig.{name} must be >= {low}, got {value}")
 
     def with_(self, **changes) -> "ClusterConfig":
         """A modified copy (sweep helper)."""
@@ -86,19 +85,17 @@ class VirtualCluster:
 
     def _build(self) -> None:
         cfg = self.config
-        overrides = dict(cfg.storage_overrides)
         for h in range(cfg.hosts):
             host = PhysicalHost(
                 self.env,
                 name=f"h{h}",
                 vmm_scheduler_factory=scheduler_factory(cfg.initial_pair.vmm),
                 max_vms=cfg.vms_per_host,
-                storage=overrides.get(h, cfg.storage),
+                storage=cfg.storage,
                 storage_params=StorageParams(
                     geometry=cfg.geometry,
                     disk_params=cfg.disk_params,
                     ssd=cfg.ssd,
-                    cache_tier=cfg.cache_tier,
                     host_index=h,
                 ),
                 rng=self.rng.stream(f"h{h}.disk"),
@@ -145,15 +142,13 @@ class VirtualCluster:
         Plain :class:`~repro.disk.device.DiskDevice` spindles report
         nothing, so all-HDD clusters return ``{}`` and run payloads
         stay bit-identical to the pre-registry code; SSDs contribute
-        their FTL counters and cache tiers their hit ledgers.
+        their FTL counters.
         """
         out: Dict[str, Dict[str, object]] = {}
         for host in self.hosts:
             report = getattr(host.disk, "storage_stats", None)
             if callable(report):
                 out[host.disk.name] = report()
-            if host.cache_tier is not None:
-                out[host.cache_tier.name] = host.cache_tier.storage_stats()
         return out
 
     # -- control plane --------------------------------------------------------------

@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 import numpy as np
 
 from ..disk.backend import StorageParams, make_device
-from ..disk.cachetier import CacheTier
 from ..iosched.base import IOScheduler
 from ..iosched.registry import scheduler_factory
 from ..sim.events import AllOf, Event
@@ -51,8 +50,6 @@ class PhysicalHost:
         self.env = env
         self.name = name
         self.max_vms = max_vms
-        self.storage = storage
-        self.storage_params = params
         self.geometry = params.geometry
         self.trace = trace
         self.disk = make_device(
@@ -65,13 +62,6 @@ class PhysicalHost:
             trace=trace,
             switch_control_latency=switch_control_latency,
         )
-        #: Optional host buffer-cache/write-buffer tier fronting the
-        #: device; ``None`` keeps the direct request path bit-identical.
-        self.cache_tier: Optional[CacheTier] = None
-        if params.cache_tier.enabled:
-            self.cache_tier = CacheTier(
-                env, self.disk, params.cache_tier, name=f"{name}.bc"
-            )
         self.vms: List[VM] = []
         #: Filled in by the network topology when attached.
         self.nic = None
@@ -92,8 +82,7 @@ class PhysicalHost:
         Stripes divide the platter evenly among ``max_vms`` images, so
         with 4 VMs on a 1 TB disk consecutive images sit ~250 GB apart —
         the cross-VM seek distance that makes the Dom0 elevator choice
-        matter.  When a cache tier is configured the VM's ring targets
-        the tier; misses and flushes still reach the real device.
+        matter.
         """
         index = len(self.vms)
         if index >= self.max_vms:
@@ -106,7 +95,7 @@ class PhysicalHost:
         vm = VM(
             self.env,
             vm_id,
-            backend_disk=self.cache_tier or self.disk,
+            backend_disk=self.disk,
             image_offset_sectors=index * stripe,
             image_sectors=image_sectors,
             guest_scheduler_factory=guest_scheduler_factory,

@@ -46,7 +46,6 @@ class VirtualBlockDevice(ElevatorQueue):
         trace: Optional["TraceBus"] = None,
         stats: Optional[DeviceStats] = None,
         switch_control_latency: float = 0.050,
-        quiesce_holds_arrivals: bool = False,
     ):
         if ring_slots <= 0:
             raise ValueError("ring_slots must be positive")
@@ -65,7 +64,6 @@ class VirtualBlockDevice(ElevatorQueue):
             name or f"xvda@{vm_id}",
             trace,
             switch_control_latency,
-            quiesce_holds_arrivals,
         )
 
     # -- ElevatorQueue hooks ------------------------------------------------------

@@ -16,6 +16,7 @@ admits jobs at their times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -44,10 +45,15 @@ class SizeClass:
     bytes_factor: float
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError("size-class weight must be non-negative")
-        if self.bytes_factor <= 0:
-            raise ValueError("size-class bytes_factor must be positive")
+        # A NaN weight sends every draw to the last class.
+        if not 0 <= self.weight < math.inf:
+            raise ValueError(
+                f"size-class weight must be finite and non-negative, "
+                f"got {self.weight}")
+        if not 0 < self.bytes_factor < math.inf:
+            raise ValueError(
+                f"size-class bytes_factor must be finite and positive, "
+                f"got {self.bytes_factor}")
 
 
 #: A heavy-tailed mix in the spirit of production MapReduce traces:
@@ -68,8 +74,10 @@ class TraceArrival:
     size_class: str = "medium"
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("trace arrival time must be non-negative")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(
+                f"trace arrival time must be finite and non-negative, "
+                f"got {self.time}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +110,9 @@ class ArrivalConfig:
         if self.kind == "poisson":
             if self.n_jobs < 1:
                 raise ValueError("n_jobs must be >= 1")
-            if self.rate <= 0:
-                raise ValueError("rate must be positive")
+            if not 0 < self.rate < math.inf:
+                raise ValueError(
+                    f"rate must be finite and positive, got {self.rate}")
             if not self.tenants:
                 raise ValueError("at least one tenant is required")
             if self.tenant_weights and (
@@ -113,6 +122,10 @@ class ArrivalConfig:
                     "tenant_weights must match tenants "
                     f"({len(self.tenant_weights)} != {len(self.tenants)})"
                 )
+            if not all(0 <= w < math.inf for w in self.tenant_weights):
+                raise ValueError(
+                    f"tenant_weights must be finite and non-negative, got "
+                    f"{self.tenant_weights}")
             if not self.size_classes:
                 raise ValueError("at least one size class is required")
             names = [sc.name for sc in self.size_classes]

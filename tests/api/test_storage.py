@@ -172,36 +172,6 @@ def test_faults_compose_with_flash(storage, plan, monkeypatch):
     assert digest(serial) == digest(parallel) == digest(payload)
 
 
-def test_cache_tier_ledger_balances():
-    from repro.disk import CacheTierParams
-    from repro.core.solution import Solution
-    from repro.runner.kinds import execute_spec
-    from repro.runner.spec import RunSpec
-    from repro.api import scaled_testbed
-    from repro.workloads import SORT
-
-    testbed = scaled_testbed(
-        SORT, scale=0.05, hosts=2, vms_per_host=2, seeds=(0,),
-    )
-    testbed = testbed.with_(cluster=testbed.cluster.with_(
-        cache_tier=CacheTierParams(enabled=True),
-    ))
-    spec = RunSpec(
-        kind="job", seed=0,
-        config=(testbed,
-                Solution.uniform(Scenario(**TINY).solution().assignments[0],
-                                 2)),
-        label="cache-tier test",
-    )
-    payload = execute_spec(spec)
-    tiers = {name: s for name, s in payload["storage"].items()
-             if s["kind"] == "cache"}
-    assert sorted(tiers) == ["h0.bc", "h1.bc"]
-    for stats in tiers.values():
-        assert stats["hits"] + stats["misses"] == stats["references"]
-        assert stats["references"] > 0
-
-
 # -- validation and lowering ----------------------------------------------------------
 
 
@@ -210,7 +180,6 @@ def test_unknown_storage_rejected_listing_backends():
         lambda: Scenario(storage="bogus"),
         lambda: MultiJobScenario(storage="bogus"),
         lambda: ControlledScenario(storage="bogus"),
-        lambda: Scenario(storage_overrides=((0, "bogus"),)),
     ):
         with pytest.raises(UnknownStorageError) as exc:
             ctor()
@@ -225,10 +194,6 @@ def test_storage_lowers_through_to_spec():
     spec = Scenario(**TINY, storage="ssd").to_spec(0)
     testbed, _ = spec.config
     assert testbed.cluster.storage == "ssd"
-    spec = Scenario(**TINY, storage_overrides=((1, "ssd"),)).to_spec(0)
-    testbed, _ = spec.config
-    assert testbed.cluster.storage == "hdd"
-    assert testbed.cluster.storage_overrides == ((1, "ssd"),)
 
 
 def test_storage_changes_the_cache_key():

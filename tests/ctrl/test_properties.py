@@ -71,6 +71,21 @@ def test_plan_following_policies_need_a_plan_that_starts_on_initial():
     CtrlConfig(policy="bandit", initial="cc", phase_pairs=("ad", "cc"))
 
 
+@pytest.mark.parametrize("knob", ["dwell", "cost_factor", "cost_budget"])
+def test_nan_knobs_are_rejected_naming_the_field(knob):
+    # A NaN dwell ran like dwell 0; a NaN factor or budget let
+    # hysteresis switch "within budget".
+    with pytest.raises(ValueError, match=knob):
+        CtrlConfig(policy="hysteresis", initial="cc",
+                   phase_pairs=("cc", "ad"), **{knob: float("nan")})
+
+
+def test_infinite_cost_factor_stays_valid():
+    # The documented "never switch" setting.
+    CtrlConfig(policy="hysteresis", initial="cc", phase_pairs=("cc", "ad"),
+               cost_factor=float("inf"))
+
+
 def test_greedy_follows_the_plan_and_holds_when_it_matches():
     policy = make_policy(GREEDY)
     assert policy.decide(_obs(current="ad")).target == "cc"

@@ -9,11 +9,9 @@ from repro.disk import (
     StorageParams,
     UnknownStorageError,
     make_device,
-    register_storage,
     resolve_storage,
     storage_names,
 )
-from repro.disk.backend import _BACKENDS
 from repro.iosched import NoopScheduler
 from repro.sim import Environment
 
@@ -55,17 +53,3 @@ def test_unknown_name_lists_registered_backends():
     # Catchable under both idioms callers might already use.
     assert isinstance(exc.value, KeyError)
     assert isinstance(exc.value, ValueError)
-
-
-def test_register_storage_round_trip():
-    @register_storage("test-null")
-    def _make_null(env, params, rng, **kwargs):  # pragma: no cover
-        raise NotImplementedError
-
-    try:
-        assert resolve_storage("test-null") == "test-null"
-        assert "test-null" in storage_names()
-    finally:
-        del _BACKENDS["test-null"]
-    with pytest.raises(UnknownStorageError):
-        resolve_storage("test-null")

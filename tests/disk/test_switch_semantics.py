@@ -1,21 +1,15 @@
-"""Focused tests for the two elevator-switch quiesce semantics."""
+"""Focused tests for the elevator switch's drain-and-bypass semantics."""
 
 import numpy as np
-import pytest
 
 from repro.disk import BlockRequest, DiskDevice, IoOp, ServiceTimeModel
 from repro.iosched import DeadlineScheduler, NoopScheduler, scheduler_factory
 from repro.sim import Environment
 
 
-def make_device(env, holds=False):
+def make_device(env):
     model = ServiceTimeModel(rng=np.random.default_rng(1))
-    return DiskDevice(
-        env,
-        DeadlineScheduler(),
-        model,
-        quiesce_holds_arrivals=holds,
-    )
+    return DiskDevice(env, DeadlineScheduler(), model)
 
 
 def req(lba, n=256):
@@ -27,9 +21,9 @@ def submit_backlog(dev, count=20):
 
 
 def test_bypass_mode_serves_arrivals_during_switch():
-    """Default 2.6 semantics: mid-switch arrivals flow via the FIFO."""
+    """2.6 semantics: mid-switch arrivals flow via the FIFO."""
     env = Environment()
-    dev = make_device(env, holds=False)
+    dev = make_device(env)
     submit_backlog(dev)
     switch_done = dev.switch_scheduler(scheduler_factory("noop"))
 
@@ -52,33 +46,10 @@ def test_bypass_mode_serves_arrivals_during_switch():
     assert mid["completed_at"] <= switch_end + 0.1
 
 
-def test_hold_mode_blocks_arrivals_until_installed():
-    """elv_may_queue semantics: mid-switch arrivals wait out the drain."""
-    env = Environment()
-    dev = make_device(env, holds=True)
-    submit_backlog(dev)
-    switch_done = dev.switch_scheduler(scheduler_factory("noop"))
-
-    mid = {}
-
-    def prober():
-        yield env.timeout(0.06)
-        assert dev._switching
-        ev = dev.submit(req(123_000))
-        yield ev
-        mid["completed_at"] = env.now
-
-    env.process(prober())
-    env.run(until=switch_done)
-    switch_end = env.now
-    env.run()
-    assert mid["completed_at"] >= switch_end - 1e-9
-
-
 def test_switch_completes_even_under_continuous_arrivals():
     """Bypass arrivals must not extend the drain wait indefinitely."""
     env = Environment()
-    dev = make_device(env, holds=False)
+    dev = make_device(env)
     submit_backlog(dev, count=10)
     switch_done = dev.switch_scheduler(scheduler_factory("cfq"))
 
@@ -98,7 +69,7 @@ def test_switch_completes_even_under_continuous_arrivals():
 
 def test_drain_watch_empties_and_new_elevator_gets_later_requests():
     env = Environment()
-    dev = make_device(env, holds=False)
+    dev = make_device(env)
     pre = submit_backlog(dev, count=8)
     done = dev.switch_scheduler(scheduler_factory("noop"))
     env.run(until=done)

@@ -85,10 +85,22 @@ def test_trace_kind_replays_entries_verbatim():
     )),
     dict(kind="trace", trace=(TraceArrival(time=0.0, tenant="a",
                                            size_class="gigantic"),)),
+    # NaN gaps used to admit every job at t=0; inf put them all at 0 too.
+    dict(rate=float("nan")),
+    dict(rate=float("inf")),
+    # A NaN weight sent every job to the last tenant.
+    dict(tenant_weights=(1.0, float("nan"))),
+    dict(tenant_weights=(-1.0, 3.0)),
 ])
 def test_config_validation_rejects(bad):
     with pytest.raises(ValueError):
         ArrivalConfig(**bad)
+
+
+@pytest.mark.parametrize("time", [-1.0, float("nan"), float("inf")])
+def test_trace_arrival_time_must_be_finite_and_non_negative(time):
+    with pytest.raises(ValueError, match="trace arrival time"):
+        TraceArrival(time=time, tenant="a")
 
 
 def test_size_class_validation():
@@ -96,3 +108,7 @@ def test_size_class_validation():
         SizeClass("bad", -0.1, 1.0)
     with pytest.raises(ValueError):
         SizeClass("bad", 0.5, 0.0)
+    for weight, factor in ((float("nan"), 1.0), (0.5, float("nan")),
+                           (0.5, float("inf"))):
+        with pytest.raises(ValueError, match="size-class"):
+            SizeClass("bad", weight, factor)
