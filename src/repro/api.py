@@ -460,15 +460,15 @@ class MultiJobScenario:
 
     Lowers to a ``RunSpec(kind="multi_job")`` executing a
     :class:`~repro.mapreduce.multijob.MultiJobTracker` over a Poisson
-    (or trace-driven) arrival stream.  Like :class:`Scenario` it is
+    arrival stream of ``n_jobs`` jobs.  Like :class:`Scenario` it is
     pure data with a pure ``to_spec`` — equal scenarios share sweep
     cache keys.
 
     ``pair`` sets the cluster's static elevator pair; ``switch``
-    overrides it with cluster-scope phase-majority switching, given as
+    overrides it with cluster-scope phase-majority switching
+    (:class:`~repro.mapreduce.multijob.SwitchPlan`), given as
     ``(map_pair, tail_pair)`` in any form ``SchedulerPair.parse``
-    accepts (e.g. ``("ad", "cc")``) or as a full
-    :class:`~repro.mapreduce.multijob.SwitchPlan`.
+    accepts (e.g. ``("ad", "cc")``).
     """
 
     workload: Union[str, JobSpec] = "sort"
@@ -478,7 +478,8 @@ class MultiJobScenario:
     #: Static (VMM, VM) pair; ``None`` = the stock (cfq, cfq).
     pair: Union[str, SchedulerPair, None] = None
     #: Phase-majority switch plan; overrides ``pair`` when set.
-    switch: Union[SwitchPlan, Tuple[str, str], None] = None
+    switch: Optional[Tuple[Union[str, SchedulerPair],
+                           Union[str, SchedulerPair]]] = None
     #: Job-level scheduler: fifo | fair | capacity | sjf.
     scheduler: str = "fifo"
     n_jobs: int = 3
@@ -486,8 +487,6 @@ class MultiJobScenario:
     arrival_rate: float = 0.02
     tenants: Tuple[str, ...] = ("tenant-a", "tenant-b")
     size_mix: Tuple[SizeClass, ...] = DEFAULT_SIZE_MIX
-    #: Full arrival process; overrides the poisson fields when set.
-    arrivals: Optional[ArrivalConfig] = None
     bytes_per_vm: Optional[int] = None
     #: Storage backend name (hdd/ssd/hybrid).
     storage: str = "hdd"
@@ -517,8 +516,6 @@ class MultiJobScenario:
         return benchmark(workload) if isinstance(workload, str) else workload
 
     def arrival_config(self) -> ArrivalConfig:
-        if self.arrivals is not None:
-            return self.arrivals
         return ArrivalConfig(
             kind="poisson",
             n_jobs=self.n_jobs,
@@ -530,8 +527,6 @@ class MultiJobScenario:
     def switch_plan(self) -> Optional[SwitchPlan]:
         if self.switch is None:
             return None
-        if isinstance(self.switch, SwitchPlan):
-            return self.switch
         map_pair, tail_pair = self.switch
         return SwitchPlan(
             map_pair=SchedulerPair.parse(map_pair)
@@ -733,14 +728,21 @@ def simulate(scenario: Scenario, seed: int = 0, trace=None) -> RunResult:
                      events=events, wall_s=wall_s)
 
 
+#: Anything :func:`sweep` lowers with ``to_spec(seed)``.
+_Facade = Union[Scenario, MultiJobScenario, ControlledScenario]
+
+
 def sweep(
-    scenarios: Union[Scenario, Sequence[Scenario]],
+    scenarios: Union[_Facade, Sequence[_Facade]],
     seeds: Sequence[int] = (0,),
     runner=None,
     **runner_kwargs,
 ) -> List[List[Dict[str, Any]]]:
     """Run scenarios × seeds through the memoised parallel sweep runner.
 
+    ``scenarios`` is one facade (:class:`Scenario`,
+    :class:`MultiJobScenario` or :class:`ControlledScenario`; any object
+    with a ``to_spec`` method counts as one) or a sequence of them.
     Returns one list per scenario, holding that scenario's payload for
     each seed (in ``seeds`` order).  ``runner`` is an optional existing
     :class:`~repro.runner.sweep.SweepRunner`; without one, a private
@@ -753,7 +755,7 @@ def sweep(
     """
     from .runner.sweep import SweepRunner
 
-    if isinstance(scenarios, Scenario):
+    if hasattr(scenarios, "to_spec"):
         scenarios = [scenarios]
     specs = [sc.to_spec(seed) for sc in scenarios for seed in seeds]
     if runner is not None:

@@ -10,7 +10,6 @@ Public surface::
 
 from .bruteforce import BruteForceSearch, enumerate_solutions
 from .chains import ChainConfig, ChainOutcome
-from .finegrained import FineGrainedAssignment, FineGrainedPlan, apply_assignment
 from .experiment import RunOutcome, TestbedConfig
 from .heuristic import (
     HeuristicSearch,
@@ -19,8 +18,7 @@ from .heuristic import (
     profile_single_pairs,
 )
 from .metasched import AdaptiveMetaScheduler, AdaptiveReport
-from .online import OnlineController, OnlinePolicy, Regime
-from .phase_detect import DetectorParams, PhaseDetector, ResourceSample
+from .online import OnlineController
 from .solution import Solution
 from .switch_cost import SwitchCostMatrix, SwitchCostMeter, SwitchCostModel
 
@@ -30,15 +28,7 @@ __all__ = [
     "BruteForceSearch",
     "ChainConfig",
     "ChainOutcome",
-    "FineGrainedAssignment",
-    "FineGrainedPlan",
-    "DetectorParams",
     "OnlineController",
-    "OnlinePolicy",
-    "PhaseDetector",
-    "ResourceSample",
-    "Regime",
-    "apply_assignment",
     "HeuristicSearch",
     "ProfiledScores",
     "RunOutcome",

@@ -1,7 +1,7 @@
 """Exhaustive search over the ``S^P`` solution space.
 
 The paper argues this is impractical as phases multiply (Pig chains,
-fine-grained detection) and uses it only as the conceptual baseline;
+finer phase splits) and uses it only as the conceptual baseline;
 we implement it to measure the heuristic's optimality gap on small
 instances (tests + the ablation bench).
 """

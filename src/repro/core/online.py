@@ -8,15 +8,14 @@ suitable pair schedulers."
 The controller samples each host's Dom0 read-byte share over fixed
 windows, classifies the current regime, and hot-switches that host's
 pair alone when a different regime persists long enough (hysteresis),
-*without any offline profiling runs*.  The rule table encodes the
-per-phase preferences the offline study discovers: (AS, CFQ) for
-read-heavy windows, (CFQ, DL) for write-heavy ones, and (AS, DL) for
-the mix between.
+*without any offline profiling runs*.  The rule table is fixed: it
+encodes the per-phase preferences the offline study discovers, (AS,
+CFQ) for read-heavy windows, (CFQ, DL) for write-heavy ones, and (AS,
+DL) for the mix between.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..virt.pair import SchedulerPair
@@ -26,64 +25,45 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..virt.cluster import VirtualCluster
     from ..virt.hypervisor import PhysicalHost
 
-__all__ = ["OnlineController", "OnlinePolicy", "Regime"]
+__all__ = ["OnlineController", "classify"]
+
+#: Window between controller decisions, seconds.
+SAMPLE_INTERVAL = 2.0
+#: Consecutive windows a regime must persist before its host switches.
+HYSTERESIS = 2
+#: Read byte share at or above which a window is read-heavy.
+READ_HEAVY_SHARE = 0.55
+#: Read byte share at or below which a window is write-heavy.
+WRITE_HEAVY_SHARE = 0.25
+#: Regime name -> the pair the controller installs for it.
+REGIME_PAIRS: Dict[str, SchedulerPair] = {
+    "read-heavy": SchedulerPair("anticipatory", "cfq"),
+    "write-heavy": SchedulerPair("cfq", "deadline"),
+    "mixed": SchedulerPair("anticipatory", "deadline"),
+}
 
 
-@dataclass(frozen=True)
-class Regime:
-    """A named I/O regime with its preferred pair."""
-
-    name: str
-    pair: SchedulerPair
-
-
-@dataclass(frozen=True)
-class OnlinePolicy:
-    """Sampling/decision knobs plus the regime rule table."""
-
-    #: Window between controller decisions, seconds.
-    sample_interval: float = 2.0
-    #: Consecutive windows a regime must persist before switching.
-    hysteresis: int = 2
-    #: Read byte share above which the regime is read-heavy.
-    read_heavy_share: float = 0.55
-    #: Read byte share below which the regime is write-heavy.
-    write_heavy_share: float = 0.25
-    read_heavy: Regime = Regime("read-heavy", SchedulerPair("anticipatory", "cfq"))
-    write_heavy: Regime = Regime("write-heavy", SchedulerPair("cfq", "deadline"))
-    mixed: Regime = Regime("mixed", SchedulerPair("anticipatory", "deadline"))
-
-    def classify(self, read_share: float) -> Regime:
-        if read_share >= self.read_heavy_share:
-            return self.read_heavy
-        if read_share <= self.write_heavy_share:
-            return self.write_heavy
-        return self.mixed
+def classify(read_share: float) -> str:
+    """The regime of a window whose Dom0 read-byte share is ``read_share``."""
+    if read_share >= READ_HEAVY_SHARE:
+        return "read-heavy"
+    if read_share <= WRITE_HEAVY_SHARE:
+        return "write-heavy"
+    return "mixed"
 
 
 class OnlineController:
     """One reactive controller per cluster; runs as a sim process."""
 
-    def __init__(
-        self,
-        env: "Environment",
-        cluster: "VirtualCluster",
-        policy: Optional[OnlinePolicy] = None,
-    ):
+    def __init__(self, env: "Environment", cluster: "VirtualCluster"):
         self.env = env
         self.cluster = cluster
-        self.policy = policy or OnlinePolicy()
         #: (time, host, regime-name) decision log.
         self.decisions: List[Tuple[float, str, str]] = []
         self.switches = 0
         self._streak: Dict[str, Tuple[str, int]] = {}
         self._last_counters: Dict[str, Tuple[int, int]] = {}
         self._proc = env.process(self._run())
-        self._stopped = False
-
-    def stop(self) -> None:
-        """Stop controlling (the job finished)."""
-        self._stopped = True
 
     # -- internals ---------------------------------------------------------------
     def _window_read_share(self, host: "PhysicalHost") -> Optional[float]:
@@ -98,23 +78,19 @@ class OnlineController:
         return dr / total
 
     def _run(self):
-        policy = self.policy
-        while not self._stopped:
-            yield self.env.timeout(policy.sample_interval)
-            if self._stopped:
-                return
+        while True:
+            yield self.env.timeout(SAMPLE_INTERVAL)
             for host in self.cluster.hosts:
                 share = self._window_read_share(host)
                 if share is None:
                     continue
-                regime = policy.classify(share)
+                regime = classify(share)
                 name, streak = self._streak.get(host.name, ("", 0))
-                streak = streak + 1 if name == regime.name else 1
-                self._streak[host.name] = (regime.name, streak)
-                if streak == policy.hysteresis and host.current_pair != regime.pair:
-                    self.decisions.append(
-                        (self.env.now, host.name, regime.name)
-                    )
+                streak = streak + 1 if name == regime else 1
+                self._streak[host.name] = (regime, streak)
+                pair = REGIME_PAIRS[regime]
+                if streak == HYSTERESIS and host.current_pair != pair:
+                    self.decisions.append((self.env.now, host.name, regime))
                     self.switches += 1
                     # Fire-and-forget: the switch drains in the background.
-                    host.set_pair(regime.pair)
+                    host.set_pair(pair)

@@ -7,7 +7,7 @@ devices' queue depths, and issues switches through the same
 per-VM/elevator machinery, charging the measured state-dependent switch
 cost.  Every switching phase plan runs through it:
 :func:`repro.api.run_job` lowers such a plan to the greedy policy.
-Policies live behind a ``@register_policy`` registry; the regret oracle
+Policies are looked up by name in ``POLICIES``; the regret oracle
 defines what "good" means and doubles as the test harness in
 ``tests/ctrl``.
 """
@@ -32,7 +32,6 @@ from .policies import (
     Observation,
     make_policy,
     policy_names,
-    register_policy,
     resolve_policy,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "payload_duration",
     "plan_labels",
     "policy_names",
-    "register_policy",
     "resolve_policy",
     "static_ctrl_config",
 ]

@@ -55,10 +55,6 @@ class CtrlConfig:
     cost_factor: float = 1.0
     #: Maximum charged switch cost (seconds) hysteresis will accept.
     cost_budget: float = 5.0
-    #: Estimated drain cost per queued request (seconds) — the
-    #: state-dependent part of the switch-cost model (paper Fig. 5:
-    #: switching under a deep queue stalls longer).
-    drain_cost_per_request: float = 0.004
     #: Bandit exploration rate in [0, 1]; 0 = pure exploitation.
     epsilon: float = 0.1
     #: Bandit arms: candidate tail-phase pair labels.

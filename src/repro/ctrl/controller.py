@@ -33,6 +33,11 @@ __all__ = ["OnlineAdaptiveController", "BOUNDARY_NAMES"]
 #: Boundary names in firing order (index = phase the boundary opens - 1).
 BOUNDARY_NAMES = ("maps_done", "shuffle_done")
 
+#: Estimated drain cost per queued request (seconds): the
+#: state-dependent part of the switch-cost estimate (paper Fig. 5:
+#: switching under a deep queue stalls longer).
+DRAIN_COST_PER_REQUEST = 0.004
+
 
 class OnlineAdaptiveController:
     """Waits on a started job's phase boundaries and switches pairs.
@@ -83,7 +88,7 @@ class OnlineAdaptiveController:
         until in-flight requests complete).
         """
         return (self.cluster.config.switch_control_latency
-                + self.queue_depth() * self.config.drain_cost_per_request)
+                + self.queue_depth() * DRAIN_COST_PER_REQUEST)
 
     # -- the decision loop --------------------------------------------------------
     def _run(self):

@@ -1,4 +1,4 @@
-"""Controller policies behind the ``@register_policy`` registry.
+"""Controller policies, looked up by name in ``POLICIES``.
 
 A policy is the pure decision core of the online controller: given an
 :class:`Observation` at a detected phase boundary it returns a
@@ -34,38 +34,13 @@ __all__ = [
     "HysteresisPolicy",
     "BanditPolicy",
     "POLICIES",
-    "register_policy",
     "policy_names",
     "resolve_policy",
     "make_policy",
 ]
 
-#: Classes collected by :func:`register_policy`, in decoration order.
-#: Private: read once, below, to build the immutable ``POLICIES`` map.
-_REGISTERED: List[Type["ControllerPolicy"]] = []
-
-
-def register_policy(name: str):
-    """Register a :class:`ControllerPolicy` subclass under ``name``.
-
-    Registration happens at module import: the public ``POLICIES`` map
-    is built exactly once, after the decorated classes below, and never
-    mutated afterwards — so cache-key validation
-    (:class:`~repro.ctrl.config.CtrlConfig` runs on the
-    ``spec_key``/``to_spec`` path) may read it without tripping the
-    CACHE001 purity lint.
-    """
-
-    def deco(cls):
-        cls.name = name
-        _REGISTERED.append(cls)
-        return cls
-
-    return deco
-
-
 def policy_names() -> List[str]:
-    """Registered policy names, sorted (for error messages and help)."""
+    """Policy names, sorted (for error messages and help)."""
     return sorted(POLICIES)
 
 
@@ -147,7 +122,6 @@ class ControllerPolicy:
         return None if target == obs.current else target
 
 
-@register_policy("greedy")
 class GreedyPolicy(ControllerPolicy):
     """Execute the offline plan verbatim, ignoring switch costs.
 
@@ -157,6 +131,8 @@ class GreedyPolicy(ControllerPolicy):
     the fault-free single-job case.
     """
 
+    name = "greedy"
+
     def decide(self, obs: Observation) -> Decision:
         target = self._plan_target(obs)
         if target is None:
@@ -165,7 +141,6 @@ class GreedyPolicy(ControllerPolicy):
         return Decision(target, "offline plan", est_cost=obs.est_cost)
 
 
-@register_policy("hysteresis")
 class HysteresisPolicy(ControllerPolicy):
     """Cost-aware plan follower: switch only when it is cheap enough.
 
@@ -175,6 +150,8 @@ class HysteresisPolicy(ControllerPolicy):
     metamorphic tests — and inflating the factor can only ever *remove*
     switches.
     """
+
+    name = "hysteresis"
 
     def decide(self, obs: Observation) -> Decision:
         target = self._plan_target(obs)
@@ -189,7 +166,6 @@ class HysteresisPolicy(ControllerPolicy):
                         est_cost=obs.est_cost)
 
 
-@register_policy("bandit")
 class BanditPolicy(ControllerPolicy):
     """Contextual ε-greedy over tail-phase pairs.
 
@@ -206,6 +182,8 @@ class BanditPolicy(ControllerPolicy):
     runs are deterministic, the evaluation regret is the minimum over
     sampled arms and can only shrink as training covers more arms.
     """
+
+    name = "bandit"
 
     def __init__(self, config: CtrlConfig, rng=None):
         super().__init__(config, rng=rng)
@@ -263,8 +241,9 @@ class BanditPolicy(ControllerPolicy):
         ))
 
 
-#: Registry: policy name -> policy class.  Built once from the
-#: decorated classes above; immutable after module load.
+#: Policy name -> policy class.  Never mutated, so cache-key validation
+#: (:class:`~repro.ctrl.config.CtrlConfig` runs on the
+#: ``spec_key``/``to_spec`` path) may read it under the CACHE001 lint.
 POLICIES: Dict[str, Type[ControllerPolicy]] = {
-    cls.name: cls for cls in _REGISTERED
+    cls.name: cls for cls in (GreedyPolicy, HysteresisPolicy, BanditPolicy)
 }

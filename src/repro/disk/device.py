@@ -373,11 +373,5 @@ class DiskDevice(ElevatorQueue):
                 rotation=breakdown.rotation,
                 transfer=breakdown.transfer,
             )
-        self.stats.on_complete(
-            request,
-            service_time,
-            breakdown.seek,
-            breakdown.rotation,
-            breakdown.transfer,
-        )
+        self.stats.on_complete(request, service_time)
         self._completed(request)

@@ -205,7 +205,7 @@ class SsdDevice(ElevatorQueue):
                 rotation=0.0,
                 transfer=service_time,
             )
-        self.stats.on_complete(request, service_time, 0.0, 0.0, service_time)
+        self.stats.on_complete(request, service_time)
         self._completed(request)
 
     def _serve_write(self, request: BlockRequest):

@@ -1,4 +1,4 @@
-"""Per-device statistics: throughput samplers, byte counts, seek accounting."""
+"""Per-device statistics: throughput samplers, byte counts, busy time."""
 
 from __future__ import annotations
 
@@ -27,15 +27,11 @@ class DeviceStats:
     write_count: int = 0
     merged_count: int = 0
     busy_time: float = 0.0
-    seek_time: float = 0.0
-    rotation_time: float = 0.0
-    transfer_time: float = 0.0
 
     def __post_init__(self) -> None:
         self.throughput = IntervalSampler(interval=self.sample_interval)
 
-    def on_complete(self, request: BlockRequest, service_total: float,
-                    seek: float, rotation: float, transfer: float) -> None:
+    def on_complete(self, request: BlockRequest, service_total: float) -> None:
         """Record a completed request (after merging, so one disk command)."""
         nbytes = request.nsectors * SECTOR_SIZE
         if request.op is IoOp.READ:
@@ -47,9 +43,6 @@ class DeviceStats:
         if request.merged_children:
             self.merged_count += len(request.merged_children)
         self.busy_time += service_total
-        self.seek_time += seek
-        self.rotation_time += rotation
-        self.transfer_time += transfer
         self.throughput._events.append((request.complete_time, nbytes))
 
     @property

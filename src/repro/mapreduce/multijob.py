@@ -30,8 +30,8 @@ Design notes:
 * The optional :class:`SwitchPlan` applies the paper's adaptive idea at
   cluster scope: while the majority of live jobs are in their map
   phase, run ``map_pair``; once the mix tips into shuffle/reduce
-  tails, run ``tail_pair`` — with ``min_dwell`` hysteresis so a churny
-  mix cannot thrash the elevators.
+  tails, run ``tail_pair`` — with a ``MIN_DWELL`` hysteresis so a
+  churny mix cannot thrash the elevators.
 """
 
 from __future__ import annotations
@@ -168,25 +168,22 @@ def job_scheduler(name: str) -> JobScheduler:
 # -- configuration --------------------------------------------------------------------
 
 
+#: Simulated seconds that must pass between two switches of a
+#: :class:`SwitchPlan` (hysteresis against a churny job mix).
+MIN_DWELL = 20.0
+
+
 @dataclass(frozen=True)
 class SwitchPlan:
     """Cluster-scope phase-majority elevator switching.
 
     ``map_pair`` runs while most live jobs are still mapping,
-    ``tail_pair`` once the mix is majority shuffle/reduce;
-    ``min_dwell`` seconds must pass between switches (hysteresis
-    against a churny job mix).
+    ``tail_pair`` once the mix is majority shuffle/reduce; at least
+    ``MIN_DWELL`` seconds pass between switches.
     """
 
     map_pair: SchedulerPair
     tail_pair: SchedulerPair
-    min_dwell: float = 20.0
-
-    def __post_init__(self) -> None:
-        # ``not >=`` also rejects NaN, which would disable the dwell.
-        if not self.min_dwell >= 0:
-            raise ValueError(
-                f"min_dwell must be non-negative, got {self.min_dwell}")
 
 
 @dataclass(frozen=True)
@@ -627,7 +624,6 @@ class MultiJobTracker:
         return self.switch_plan.tail_pair
 
     def _switch_monitor(self):
-        plan = self.switch_plan
         current = self.cluster.config.initial_pair
         last_switch: Optional[float] = None
         while True:
@@ -636,9 +632,9 @@ class MultiJobTracker:
             desired = self._desired_pair(current)
             if desired != current:
                 if (last_switch is not None
-                        and self.env.now - last_switch < plan.min_dwell):
+                        and self.env.now - last_switch < MIN_DWELL):
                     yield self.env.timeout(
-                        plan.min_dwell - (self.env.now - last_switch)
+                        MIN_DWELL - (self.env.now - last_switch)
                     )
                     continue
                 yield self.cluster.set_pair(desired)

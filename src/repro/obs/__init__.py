@@ -11,7 +11,7 @@
 * :mod:`repro.obs.spans` — causal span reconstruction, critical-path
   extraction, and blame attribution over captured trace records;
 * :mod:`repro.obs.spill` — the windowed, memory-bounded JSONL writer
-  (filtered, optionally ring-capped), the only one;
+  (optionally ring-capped), the only one;
 * :mod:`repro.obs.topics` — the machine-readable trace-topic registry
   (the single source of truth ``repro lint``'s TRACE001 rule enforces).
 
@@ -21,7 +21,6 @@ never changes simulation results, cache keys, or cached records.
 
 from .capture import CaptureConfig, RunCapture, config_from_env, current_bus
 from .export import (
-    TopicFilter,
     load_jsonl,
     to_chrome_trace,
     write_chrome_trace,
@@ -69,7 +68,6 @@ __all__ = [
     "Span",
     "TOPICS",
     "TOPIC_NAMES",
-    "TopicFilter",
     "TopicSpec",
     "TraceMetrics",
     "TraceSpiller",

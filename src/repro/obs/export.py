@@ -22,7 +22,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..sim.tracing import TraceRecord
 
 __all__ = [
-    "TopicFilter",
     "encode_record",
     "decode_record",
     "write_jsonl",
@@ -33,25 +32,6 @@ __all__ = [
 
 #: Chrome trace timestamps are microseconds.
 _US = 1e6
-
-
-class TopicFilter:
-    """Topic matcher mirroring ``TraceBus.record_topic`` globs.
-
-    Accepts exact names, ``"family.*"`` prefixes, and ``"*"``; an empty
-    pattern list means "everything".
-    """
-
-    def __init__(self, topics: Optional[Sequence[str]] = None):
-        topics = list(topics or ["*"])
-        self.match_all = "*" in topics
-        self.exact = {t for t in topics if t != "*" and not t.endswith(".*")}
-        self.prefixes = [t[:-1] for t in topics if t.endswith(".*")]
-
-    def matches(self, topic: str) -> bool:
-        if self.match_all or topic in self.exact:
-            return True
-        return any(topic.startswith(p) for p in self.prefixes)
 
 
 #: Encodes every value the fast paths below do not take: one encoder,
@@ -117,12 +97,11 @@ def decode_record(line: str) -> TraceRecord:
 
 
 def write_jsonl(records: Iterable[TraceRecord], path: Path | str,
-                topics: Optional[Sequence[str]] = None,
                 cap: Optional[int] = None) -> int:
-    """One-shot export: filter, (optionally) cap, write; returns count."""
+    """One-shot export: (optionally) cap, write; returns count."""
     from .spill import TraceSpiller  # spill imports this module
 
-    spiller = TraceSpiller(path, cap=cap, topics=topics)
+    spiller = TraceSpiller(path, cap=cap)
     for record in records:
         spiller.add(record)
     return spiller.close()

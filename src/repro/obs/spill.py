@@ -7,7 +7,9 @@ its target file whenever the window fills.  It is the only JSONL
 writer: :func:`repro.obs.export.write_jsonl` is its one-shot form, and
 the concatenated output is the canonical encoding of every kept record
 in order, whatever the window — the equivalence
-``tests/obs/test_spill.py`` pins against a reference loop.
+``tests/obs/test_spill.py`` pins against a reference loop.  Topic
+selection happens upstream, on the bus (``TraceBus.record_topic``): the
+spiller keeps every record it is handed.
 
 Two retention modes, matching :class:`~repro.obs.capture.CaptureConfig`:
 
@@ -28,10 +30,10 @@ from __future__ import annotations
 import os
 from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, Optional, Sequence
+from typing import Deque, Dict, Optional
 
 from ..sim.tracing import TraceRecord
-from .export import TopicFilter, encode_record
+from .export import encode_record
 
 __all__ = ["TraceSpiller", "DEFAULT_WINDOW"]
 
@@ -55,8 +57,7 @@ class TraceSpiller:
     """
 
     def __init__(self, path: Path | str, window: int = DEFAULT_WINDOW,
-                 cap: Optional[int] = None,
-                 topics: Optional[Sequence[str]] = None):
+                 cap: Optional[int] = None):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         if cap is not None and cap <= 0:
@@ -64,7 +65,6 @@ class TraceSpiller:
         self.path = Path(path)
         self.window = window
         self.cap = cap
-        self.filter = TopicFilter(topics)
         #: Records written to the file so far (excludes the open window).
         self.spilled = 0
         #: Records evicted by the ring cap.
@@ -82,8 +82,6 @@ class TraceSpiller:
     def add(self, record: TraceRecord) -> None:
         if self._closed:
             raise RuntimeError("spiller is closed")
-        if not self.filter.matches(record.topic):
-            return
         ring = self._ring
         if len(ring) == self.cap:
             self.dropped += 1  # the ring evicts its oldest record
@@ -113,9 +111,8 @@ class TraceSpiller:
         """Flush the remaining window and finalise the file.
 
         Returns the number of records written.  Idempotent: a second
-        close is a no-op returning the same count.  Zero matching
-        records still produce an (empty) trace file, exactly like the
-        buffered path.
+        close is a no-op returning the same count.  Zero records still
+        produce an (empty) trace file, exactly like the buffered path.
         """
         if self._closed:
             return self.spilled

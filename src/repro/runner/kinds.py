@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, Tuple
 
 from ..api import assemble_cluster, assemble_job, run_controlled_job, run_job
 from ..core.chains import run_chain
-from ..core.online import OnlineController, OnlinePolicy
+from ..core.online import OnlineController
 from ..core.switch_cost import run_dd_once
 from ..hdfs.namenode import NameNode
 from ..iosched.anticipatory import AnticipatoryParams, AnticipatoryScheduler
@@ -374,14 +374,7 @@ def _run_online_sort(config, seed: int) -> Dict[str, Any]:
     cluster_config, job_config = config
     parts = assemble_job(cluster_config, job_config, seed=seed,
                          trace=capture.current_bus())
-    env = parts.env
-    controller = OnlineController(env, parts.cluster, OnlinePolicy())
+    OnlineController(parts.env, parts.cluster)  # starts its own process
     proc = parts.start()
-
-    def stopper():
-        yield proc
-        controller.stop()
-
-    env.process(stopper())
-    env.run(until=proc)
+    parts.env.run(until=proc)
     return {"duration": proc.value.duration}

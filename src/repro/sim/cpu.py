@@ -54,7 +54,6 @@ class ProcessorSharingCPU:
         self._paused = False
         #: Total work completed (for utilisation accounting).
         self.completed_work = 0.0
-        self.busy_time = 0.0
 
     @property
     def load(self) -> int:
@@ -115,7 +114,6 @@ class ProcessorSharingCPU:
             return
         rate = self.capacity / len(self._jobs)
         done = dt * rate
-        self.busy_time += dt
         for job in self._jobs.values():
             job.remaining -= done
             # Guard against accumulation error; completions are handled in

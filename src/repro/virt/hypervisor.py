@@ -107,10 +107,6 @@ class PhysicalHost:
         return vm
 
     # -- control plane ------------------------------------------------------------
-    def set_vmm_scheduler(self, factory: Callable[[], IOScheduler]) -> Event:
-        """Hot-switch the Dom0 elevator."""
-        return self.disk.switch_scheduler(factory)
-
     def set_pair(self, pair: SchedulerPair) -> Event:
         """Switch Dom0 and all guests to ``pair``; fires when all done.
 
@@ -118,7 +114,7 @@ class PhysicalHost:
         sysfs writes to Dom0 and over the guest channels at once); each
         device still pays its own drain.
         """
-        events = [self.set_vmm_scheduler(scheduler_factory(pair.vmm))]
+        events = [self.disk.switch_scheduler(scheduler_factory(pair.vmm))]
         events.extend(
             vm.switch_scheduler(scheduler_factory(pair.vm)) for vm in self.vms
         )
@@ -126,10 +122,6 @@ class PhysicalHost:
 
     @property
     def current_pair(self) -> SchedulerPair:
-        """The (Dom0, guest) pair currently installed.
-
-        Guests normally share one scheduler; if a fine-grained plan has
-        diversified them, the first VM's choice is reported.
-        """
+        """The (Dom0, guest) pair installed; the guest is the first VM's."""
         vm_sched = self.vms[0].scheduler_name if self.vms else "cfq"
         return SchedulerPair(self.disk.scheduler.name, vm_sched)

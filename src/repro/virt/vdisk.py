@@ -101,5 +101,5 @@ class VirtualBlockDevice(ElevatorQueue):
     def _backend_done(self, request: BlockRequest) -> None:
         self._in_ring -= 1
         request.complete_time = self.env._now
-        self.stats.on_complete(request, 0.0, 0.0, 0.0, 0.0)
+        self.stats.on_complete(request, 0.0)
         self._completed(request)

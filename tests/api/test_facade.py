@@ -13,6 +13,7 @@ import pytest
 from repro.api import (
     DEFAULT_SCALE,
     ControlledScenario,
+    MultiJobScenario,
     RunResult,
     Scenario,
     assemble_job,
@@ -189,6 +190,25 @@ def test_faulty_scenario_lowers_to_faulty_job_kind():
 def test_sweep_rejects_runner_kwargs_with_runner():
     with pytest.raises(TypeError):
         sweep(Scenario(**TINY), runner=object(), jobs=2)
+
+
+class KeyRunner:
+    """Stands in for a SweepRunner: returns each spec's cache key."""
+
+    def run_specs(self, specs):
+        return [spec_key(spec) for spec in specs]
+
+
+@pytest.mark.parametrize("facade", [
+    ControlledScenario(scale=0.02, hosts=1, vms_per_host=2),
+    MultiJobScenario(scale=0.02, hosts=1, vms_per_host=2),
+], ids=["controlled", "multi_job"])
+def test_sweep_takes_one_facade_of_any_kind(facade):
+    # Only a lone Scenario used to be wrapped; any other facade was
+    # iterated and failed with "object is not iterable".
+    expected = [[spec_key(facade.to_spec(0)), spec_key(facade.to_spec(1))]]
+    assert sweep(facade, seeds=(0, 1), runner=KeyRunner()) == expected
+    assert sweep([facade], seeds=(0, 1), runner=KeyRunner()) == expected
 
 
 # -- assembly helpers -----------------------------------------------------------------

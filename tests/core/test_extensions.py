@@ -1,18 +1,15 @@
-"""Tests for the future-work extensions: online controller, fine-grained
-plans, job chains."""
+"""Tests for the future-work extensions: online controller, job chains."""
 
 import pytest
 
 from repro.core import (
     ChainConfig,
-    FineGrainedAssignment,
     HeuristicSearch,
     OnlineController,
-    OnlinePolicy,
     Solution,
-    apply_assignment,
     profile_single_pairs,
 )
+from repro.core.online import classify
 from repro.hdfs import NameNode
 from repro.mapreduce import MB, JobConfig, MapReduceJob
 from repro.net import Topology
@@ -53,29 +50,16 @@ def small_job(spec=SORT, **over):
 # -- online controller ------------------------------------------------------------
 
 
-def run_job_with_controller(policy=None):
+def test_online_controller_reacts_and_job_completes():
     env = Environment()
     cluster = VirtualCluster(env, small_cluster_config())
     topo = Topology(env)
     nn = NameNode(cluster, block_size=8 * MB)
     job = MapReduceJob(env, cluster, topo, nn, small_job(bytes_per_vm=32 * MB))
-    controller = OnlineController(env, cluster, policy)
+    controller = OnlineController(env, cluster)
     proc = job.start()
-
-    def stopper():
-        yield proc
-        controller.stop()
-
-    env.process(stopper())
     env.run(until=proc)
-    env.run(until=env.now + 10)  # let the controller notice the stop
-    return proc.value, controller
-
-
-def test_online_controller_reacts_and_job_completes():
-    result, controller = run_job_with_controller(
-        OnlinePolicy(sample_interval=1.0, hysteresis=2)
-    )
+    result = proc.value
     assert result.duration > 0
     # The controller observed the workload and made decisions.
     assert controller.decisions or controller.switches == 0
@@ -86,77 +70,9 @@ def test_online_controller_reacts_and_job_completes():
 
 
 def test_online_policy_classification():
-    policy = OnlinePolicy(read_heavy_share=0.6, write_heavy_share=0.3)
-    assert policy.classify(0.8).name == "read-heavy"
-    assert policy.classify(0.1).name == "write-heavy"
-    assert policy.classify(0.45).name == "mixed"
-
-
-def test_online_controller_hysteresis_limits_flapping():
-    _, eager = run_job_with_controller(
-        OnlinePolicy(sample_interval=0.5, hysteresis=1)
-    )
-    _, cautious = run_job_with_controller(
-        OnlinePolicy(sample_interval=0.5, hysteresis=4)
-    )
-    assert cautious.switches <= eager.switches
-
-
-# -- fine-grained plans ------------------------------------------------------------
-
-
-def test_apply_assignment_switches_selected_devices():
-    env = Environment()
-    cluster = VirtualCluster(env, small_cluster_config())
-    assignment = FineGrainedAssignment.of(
-        vmm={"h0": "anticipatory"},
-        vms={"h1v0": "deadline"},
-    )
-    done = apply_assignment(env, cluster, assignment)
-    env.run(until=done)
-    assert cluster.hosts[0].disk.scheduler.name == "anticipatory"
-    assert cluster.hosts[1].disk.scheduler.name == "cfq"  # untouched
-    assert cluster.vm("h1v0").scheduler_name == "deadline"
-    assert cluster.vm("h0v0").scheduler_name == "cfq"  # untouched
-
-
-def test_apply_assignment_skips_already_installed():
-    env = Environment()
-    cluster = VirtualCluster(env, small_cluster_config())
-    before = cluster.hosts[0].disk.switch_count
-    done = apply_assignment(
-        env, cluster, FineGrainedAssignment.of(vmm={"h0": "cfq"})
-    )
-    env.run(until=done)
-    assert cluster.hosts[0].disk.switch_count == before  # no-op, no drain
-
-
-def test_assignment_unknown_host_raises():
-    env = Environment()
-    cluster = VirtualCluster(env, small_cluster_config())
-    with pytest.raises(KeyError):
-        apply_assignment(
-            env, cluster, FineGrainedAssignment.of(vmm={"nope": "cfq"})
-        )
-
-
-def test_uniform_assignment_covers_cluster():
-    env = Environment()
-    cluster = VirtualCluster(env, small_cluster_config())
-    a = FineGrainedAssignment.uniform(cluster, AD)
-    assert len(a.vmm) == 2
-    assert len(a.vms) == 4
-    done = apply_assignment(env, cluster, a)
-    env.run(until=done)
-    for host in cluster.hosts:
-        assert host.current_pair == AD
-
-
-def test_assignment_canonicalizes_names():
-    a = FineGrainedAssignment.of(vmm={"h0": "AS"}, vms={"v": "DL"})
-    assert dict(a.vmm)["h0"] == "anticipatory"
-    assert dict(a.vms)["v"] == "deadline"
-    assert FineGrainedAssignment.of().is_noop
+    assert classify(0.8) == "read-heavy"
+    assert classify(0.1) == "write-heavy"
+    assert classify(0.45) == "mixed"
 
 
 # -- job chains ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.export import (
-    TopicFilter,
     decode_record,
     encode_record,
     load_jsonl,
@@ -43,29 +42,20 @@ SAMPLE = [
 ]
 
 
-# -- topic filtering ----------------------------------------------------------------
+# -- the writer ---------------------------------------------------------------------
 
 
-def test_topic_filter_globs():
-    f = TopicFilter(["disk.*", "job.done"])
-    assert f.matches("disk.submit")
-    assert f.matches("job.done")
-    assert not f.matches("job.start")
-    assert TopicFilter(["*"]).matches("anything")
-    assert TopicFilter(None).matches("anything")
-
-
-def test_writer_filters_and_caps(tmp_path):
-    spiller = TraceSpiller(tmp_path / "t.jsonl", topics=["disk.*"], cap=2)
+def test_writer_caps(tmp_path):
+    spiller = TraceSpiller(tmp_path / "t.jsonl", cap=2)
     for record in SAMPLE:
         spiller.add(record)
-    # Only disk topics pass the filter; only the last 2 survive the cap.
-    assert spiller.dropped == 2
+    # Only the last 2 records survive the cap.
+    assert spiller.dropped == len(SAMPLE) - 2
     assert spiller.close() == 2
     kept = load_jsonl(tmp_path / "t.jsonl")
-    assert [r.topic for r in kept] == ["disk.complete", "disk.switched"]
+    assert [r.topic for r in kept] == ["task.retry", "job.done"]
     # write_jsonl is the same writer in one call.
-    assert write_jsonl(SAMPLE, tmp_path / "w.jsonl", ["disk.*"], cap=2) == 2
+    assert write_jsonl(SAMPLE, tmp_path / "w.jsonl", cap=2) == 2
     assert (tmp_path / "w.jsonl").read_bytes() == \
         (tmp_path / "t.jsonl").read_bytes()
 

@@ -4,7 +4,7 @@ The cheap tests drive synthetic record streams (seeded, so three
 distinct shapes) through every window size that matters — 1 (flush per
 record), a window that divides the stream length, one that doesn't, and
 one larger than the stream — and compare the file bytes against an
-in-test reference: filter, keep the last ``cap`` records, encode each
+in-test reference: keep the last ``cap`` records, encode each
 with ``json.dumps`` (see ``tests/obs/test_capture.py`` for the pinned
 artifacts of real captured runs).
 """
@@ -35,12 +35,10 @@ def synthetic_records(seed, n=1000):
     return records
 
 
-def reference_bytes(records, keep=lambda topic: True, cap=None):
-    """What a spiller must write: every kept record (the last ``cap``
-    of them when capped), one reference line each."""
-    kept = [r for r in records if keep(r.topic)]
-    if cap is not None:
-        kept = kept[-cap:]
+def reference_bytes(records, cap=None):
+    """What a spiller must write: every record (the last ``cap`` of them
+    when capped), one reference line each."""
+    kept = records if cap is None else records[-cap:]
     return "".join(reference_encode(r) + "\n" for r in kept).encode()
 
 
@@ -90,17 +88,6 @@ def test_window_flushes_bound_memory(tmp_path):
     assert spiller.buffered == 50
     spiller.close()
     assert spiller.spilled == 250
-
-
-def test_topic_filter_applies_before_the_window(tmp_path):
-    records = synthetic_records(0, n=200)
-    kept = [r for r in records if r.topic.startswith("disk.")]
-    streamed = tmp_path / "streamed.jsonl"
-
-    spiller = spill(records, streamed, window=7, topics=("disk.*",))
-    assert spiller.close() == len(kept)
-    assert streamed.read_bytes() == reference_bytes(
-        records, keep=lambda topic: topic.startswith("disk."))
 
 
 def test_partial_file_until_close(tmp_path):

@@ -36,7 +36,7 @@ def test_vmm_only_switch():
     env = Environment()
     cluster = small_cluster(env)
     host = cluster.hosts[0]
-    done = host.set_vmm_scheduler(scheduler_factory("noop"))
+    done = host.disk.switch_scheduler(scheduler_factory("noop"))
     env.run(until=done)
     assert host.disk.scheduler.name == "noop"
     for vm in host.vms:
@@ -60,7 +60,7 @@ def test_switch_counts_accumulate_per_device():
     cluster = small_cluster(env)
     host = cluster.hosts[0]
     for name in ("deadline", "anticipatory", "cfq"):
-        done = host.set_vmm_scheduler(scheduler_factory(name))
+        done = host.disk.switch_scheduler(scheduler_factory(name))
         env.run(until=done)
     assert host.disk.switch_count == 3
 
