@@ -13,6 +13,7 @@ run is bit-identical to one that never heard of faults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 __all__ = [
@@ -23,6 +24,16 @@ __all__ = [
     "FaultPlan",
     "NO_FAULTS",
 ]
+
+
+def _check_finite(name: str, value: float, low: float) -> None:
+    """Reject ``value`` unless ``low <= value < inf`` (so NaN too).
+
+    A NaN or infinite knob would otherwise pass every range check and
+    surface deep in a run, or silently switch an injector off.
+    """
+    if not low <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -45,12 +56,10 @@ class DiskFaults:
     spike_latency_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.slow_interval_s < 0 or self.slow_duration_s < 0:
-            raise ValueError("episode timings must be non-negative")
-        if self.slow_factor < 1.0:
-            raise ValueError("slow_factor must be >= 1")
-        if self.spike_latency_s < 0:
-            raise ValueError("spike_latency_s must be non-negative")
+        _check_finite("slow_interval_s", self.slow_interval_s, 0.0)
+        _check_finite("slow_factor", self.slow_factor, 1.0)
+        _check_finite("slow_duration_s", self.slow_duration_s, 0.0)
+        _check_finite("spike_latency_s", self.spike_latency_s, 0.0)
 
     @property
     def active(self) -> bool:
@@ -83,12 +92,11 @@ class VmFaults:
     max_crashes: int = 1
 
     def __post_init__(self) -> None:
-        if self.pause_interval_s < 0 or self.pause_duration_s < 0:
-            raise ValueError("pause timings must be non-negative")
+        _check_finite("pause_interval_s", self.pause_interval_s, 0.0)
+        _check_finite("pause_duration_s", self.pause_duration_s, 0.0)
         if not 0 <= self.crash_prob <= 1:
             raise ValueError("crash_prob must be in [0, 1]")
-        if self.crash_window_s < 0:
-            raise ValueError("crash_window_s must be non-negative")
+        _check_finite("crash_window_s", self.crash_window_s, 0.0)
         if self.max_crashes < 0:
             raise ValueError("max_crashes must be non-negative")
 
@@ -152,12 +160,12 @@ class SpeculationConfig:
     check_interval_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.slowdown_threshold < 1.0:
-            raise ValueError("slowdown_threshold must be >= 1")
+        _check_finite("slowdown_threshold", self.slowdown_threshold, 1.0)
         if not 0 <= self.min_finished_fraction <= 1:
             raise ValueError("min_finished_fraction must be in [0, 1]")
-        if self.check_interval_s <= 0:
-            raise ValueError("check_interval_s must be positive")
+        if not 0 < self.check_interval_s < math.inf:
+            raise ValueError("check_interval_s must be finite and > 0, "
+                             f"got {self.check_interval_s}")
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,11 @@ def test_with_returns_modified_copy():
     assert NO_FAULTS.tasks.map_fail_prob == 0.0
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+# NaN and inf used to pass: a NaN slow_factor or spike latency raised
+# deep inside a faulty run, and a NaN pause_interval_s switched pauses off.
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -63,10 +68,16 @@ def test_with_returns_modified_copy():
         dict(slow_factor=0.5),
         dict(slow_duration_s=-1),
         dict(spike_latency_s=-1),
+        dict(slow_interval_s=NAN),
+        dict(slow_factor=NAN),
+        dict(slow_factor=INF),
+        dict(slow_duration_s=INF),
+        dict(spike_latency_s=NAN),
     ],
 )
 def test_disk_fault_validation(kwargs):
-    with pytest.raises(ValueError):
+    [field] = kwargs
+    with pytest.raises(ValueError, match=field):
         DiskFaults(**kwargs)
 
 
@@ -77,11 +88,33 @@ def test_disk_fault_validation(kwargs):
         dict(crash_prob=-0.1),
         dict(pause_interval_s=-1),
         dict(max_crashes=-1),
+        dict(pause_interval_s=NAN),
+        dict(pause_duration_s=INF),
+        dict(crash_prob=NAN),
+        dict(crash_window_s=NAN),
     ],
 )
 def test_vm_fault_validation(kwargs):
-    with pytest.raises(ValueError):
+    [field] = kwargs
+    with pytest.raises(ValueError, match=field):
         VmFaults(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(slowdown_threshold=0.5),
+        dict(slowdown_threshold=NAN),
+        dict(min_finished_fraction=NAN),
+        dict(check_interval_s=0),
+        dict(check_interval_s=NAN),
+        dict(check_interval_s=INF),
+    ],
+)
+def test_speculation_validation(kwargs):
+    [field] = kwargs
+    with pytest.raises(ValueError, match=field):
+        SpeculationConfig(**kwargs)
 
 
 def test_task_fault_validation():
