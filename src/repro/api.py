@@ -19,9 +19,10 @@ a run comes from here, from ``repro.experiments``, or from the CLI.
 
 Below the facade sit the calibrated-testbed helpers (``scaled_testbed``
 and friends) and the one construction path every single-job run takes:
-:func:`assemble_job` builds the stack, :func:`run_controlled_job` runs
-one job on it under a :class:`~repro.ctrl.config.CtrlConfig`, and
-:func:`run_job` lowers a phase plan to that config.
+:func:`assemble_job` builds the stack and returns its job,
+:func:`run_controlled_job` runs that job under a
+:class:`~repro.ctrl.config.CtrlConfig`, and :func:`run_job` lowers a
+phase plan to that config.
 
 Quickstart::
 
@@ -47,7 +48,6 @@ from .ctrl.controller import OnlineAdaptiveController
 from .ctrl.oracle import plan_labels
 from .ctrl.policies import make_policy
 from .disk.backend import UnknownStorageError, resolve_storage
-from .faults.injector import FaultInjector
 from .faults.plan import FaultPlan
 from .hdfs.namenode import NameNode
 from .mapreduce.job import MB, JobConfig, JobSpec
@@ -56,7 +56,6 @@ from .mapreduce.multijob import MultiJobConfig, SwitchPlan
 from .mapreduce.phases import JobResult
 from .net.topology import Topology
 from .sim.core import Environment, finish_event_census, start_event_census
-from .sim.process import Process
 from .virt.cluster import ClusterConfig, VirtualCluster
 from .virt.pagecache import PageCacheParams
 from .virt.pair import DEFAULT_PAIR, SchedulerPair
@@ -67,7 +66,6 @@ from .workloads.sysbench import SysbenchSeqWrite
 __all__ = [
     "ControlledScenario",
     "DEFAULT_SCALE",
-    "JobAssembly",
     "MultiJobScenario",
     "PAPER_SEEDS",
     "RunResult",
@@ -226,36 +224,6 @@ def scaled_testbed(
 # -- low-level assembly --------------------------------------------------------------
 
 
-@dataclass
-class JobAssembly:
-    """Everything one simulated MapReduce run is built from.
-
-    ``env.run(until=assembly.start())`` executes the job; the other
-    members stay reachable for instrumentation (per-device stats,
-    controller attachment, elevator knockouts) between assembly and run.
-    """
-
-    env: Environment
-    cluster: VirtualCluster
-    topology: Topology
-    namenode: NameNode
-    job: MapReduceJob
-
-    def start(self) -> Process:
-        """Start the job, then its fault injector when the plan is active.
-
-        The injector needs ``job.attempts``, which ``job.start()``
-        creates, so the order is fixed.
-        """
-        proc = self.job.start()
-        plan = self.job.fault_plan
-        if plan is not None and plan.is_active:
-            FaultInjector(self.env, self.cluster, plan,
-                          manager=self.job.attempts, trace=self.job.trace,
-                          stats=self.job.extra_fault_stats)
-        return proc
-
-
 def assemble_cluster(
     cluster_config: ClusterConfig,
     seed: Optional[int] = None,
@@ -275,20 +243,22 @@ def assemble_job(
     seed: Optional[int] = None,
     trace=None,
     fault_plan: Optional[FaultPlan] = None,
-) -> JobAssembly:
+) -> MapReduceJob:
     """Wire up one MapReduce run: env, cluster, network, HDFS, job.
 
     The only single-job constructor: every run kind that executes one
     job builds it here, so the construction order is the same for all.
+    ``env.run(until=job.start())`` executes it; its ``env``,
+    ``cluster``, ``topology`` and ``namenode`` stay reachable for
+    instrumentation (per-device stats, controller attachment, elevator
+    knockouts) between assembly and run.
     """
     env, cluster = assemble_cluster(cluster_config, seed=seed, trace=trace)
     topology = Topology(env)
     namenode = NameNode(cluster, block_size=job_config.block_size,
                         replication=job_config.replication)
-    job = MapReduceJob(env, cluster, topology, namenode, job_config,
-                       trace=trace, fault_plan=fault_plan)
-    return JobAssembly(env=env, cluster=cluster, topology=topology,
-                       namenode=namenode, job=job)
+    return MapReduceJob(env, cluster, topology, namenode, job_config,
+                        trace=trace, fault_plan=fault_plan)
 
 
 def run_controlled_job(
@@ -306,16 +276,16 @@ def run_controlled_job(
     pairs at the job's phase boundaries.  ``ctrl.interference_bytes``
     adds a co-tenant write stream that may outlive the job.
     """
-    parts = assemble_job(
+    job = assemble_job(
         testbed.cluster.with_(initial_pair=SchedulerPair.parse(ctrl.initial)),
         testbed.job, seed=seed, trace=trace, fault_plan=fault_plan,
     )
-    env, cluster = parts.env, parts.cluster
-    proc = parts.start()
+    env, cluster = job.env, job.cluster
+    proc = job.start()
     controller = None
     if ctrl.policy is not None:
         policy = make_policy(ctrl, rng=cluster.rng.stream("ctrl.bandit"))
-        controller = OnlineAdaptiveController(parts.job, policy, ctrl,
+        controller = OnlineAdaptiveController(job, policy, ctrl,
                                               n_phases=testbed.n_phases)
     if ctrl.interference_bytes > 0:
         SysbenchSeqWrite(env, cluster,
@@ -495,8 +465,6 @@ class MultiJobScenario:
     def __post_init__(self) -> None:
         validate_scale(self.scale)
         resolve_storage(self.storage)
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
         if not 0 < self.arrival_rate < math.inf:
             raise ValueError(
                 f"arrival_rate must be finite and positive, got "
@@ -517,7 +485,6 @@ class MultiJobScenario:
 
     def arrival_config(self) -> ArrivalConfig:
         return ArrivalConfig(
-            kind="poisson",
             n_jobs=self.n_jobs,
             rate=self.arrival_rate,
             tenants=self.tenants,
@@ -527,6 +494,10 @@ class MultiJobScenario:
     def switch_plan(self) -> Optional[SwitchPlan]:
         if self.switch is None:
             return None
+        if not isinstance(self.switch, tuple) or len(self.switch) != 2:
+            raise ValueError(
+                f"switch must be a (map_pair, tail_pair) tuple, got "
+                f"{self.switch!r}")
         map_pair, tail_pair = self.switch
         return SwitchPlan(
             map_pair=SchedulerPair.parse(map_pair)

@@ -83,13 +83,14 @@ def _parse_scale(raw: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_jobs(raw: str) -> int:
+def _parse_count(raw: str) -> int:
+    # argparse prefixes the flag's name ("argument --hosts: ...").
     try:
         value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"jobs must be an int, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an int, got {raw!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=_parse_jobs,
+        type=_parse_count,
         default=None,
         help="simulation worker processes "
         "(default: $REPRO_JOBS or the CPU count)",
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--arrivals",
-        type=_parse_jobs,
+        type=_parse_count,
         default=None,
         metavar="N",
         help="number of jobs in the arrival stream, for experiments that "
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tenants",
-        type=_parse_jobs,
+        type=_parse_count,
         default=None,
         metavar="N",
         help="number of tenants sharing the cluster in multi-job "
@@ -369,9 +370,9 @@ def build_run_parser() -> argparse.ArgumentParser:
                         f"(default {DEFAULT_SCALE} or $REPRO_SCALE)")
     parser.add_argument("--seed", type=_parse_seed, default=0,
                         help="simulation seed (default 0)")
-    parser.add_argument("--hosts", type=_parse_jobs, default=4,
+    parser.add_argument("--hosts", type=_parse_count, default=4,
                         help="physical hosts (default 4)")
-    parser.add_argument("--vms-per-host", type=_parse_jobs, default=4,
+    parser.add_argument("--vms-per-host", type=_parse_count, default=4,
                         help="VMs per host (default 4)")
     parser.add_argument("--n-phases", type=int, choices=(2, 3), default=2,
                         help="phases the controller divides the job into "

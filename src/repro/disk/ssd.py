@@ -362,9 +362,9 @@ class SsdDevice(ElevatorQueue):
         Pages go in runs that fill the open block's free slots, each run
         placed and booked on its channel at once.  Nothing waits on a
         program, so it only books channel time.  GC (via
-        ``_alloc_block``) re-enters here, so ``_open`` is re-read.
+        ``_open_block``) re-enters here, so ``_open`` is re-read.
         """
-        l2p, blocks, invalid = self._l2p, self._blocks, self._invalid
+        l2p, blocks = self._l2p, self._blocks
         params = self.params
         per_block = params.pages_per_block
         start, total = 0, len(lpns)
@@ -376,9 +376,7 @@ class SsdDevice(ElevatorQueue):
                 # the GC that allocation may run reads the counts.
                 self._invalidate(lpns[start:start + 1])
                 stale += 1
-                block = self._open = self._alloc_block(during_gc)
-                blocks[block] = []
-                invalid[block] = 0
+                block = self._open_block(during_gc)
             slots = blocks[block]
             stop = min(total, start + per_block - len(slots))
             self._invalidate(lpns[stale:stop])
@@ -411,13 +409,28 @@ class SsdDevice(ElevatorQueue):
             if invalid[block] == self.params.gc_min_invalid:
                 self._gc_candidates += 1
 
-    def _alloc_block(self, during_gc: bool) -> int:
+    def _open_block(self, during_gc: bool) -> int:
+        """Make a block with a free slot the open one; return it.
+
+        Called when the open block is full or none is open yet.  With no
+        free block left, a host write runs GC first.  GC's moves open a
+        block of their own, and programming goes on there while it has
+        free slots; the erased victim waits in the free list.
+        """
         if not self._free and not during_gc:
             self._gc_if_worthwhile()
+        block = self._open
+        if (block is not None
+                and len(self._blocks[block]) < self.params.pages_per_block):
+            return block
         if self._free:
-            return self._free.popleft()
-        block = self._next_block
-        self._next_block += 1
+            block = self._free.popleft()
+        else:
+            block = self._next_block
+            self._next_block += 1
+        self._open = block
+        self._blocks[block] = []
+        self._invalid[block] = 0
         return block
 
     def _gc_if_worthwhile(self) -> None:

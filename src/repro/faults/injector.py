@@ -41,10 +41,10 @@ class FaultInjector:
 
     Create it *after* the job has started (so the attempt manager
     exists) but before running the simulation — which is what
-    :meth:`repro.api.JobAssembly.start` does::
+    :meth:`repro.mapreduce.MapReduceJob.start` does for an active plan::
 
-        parts = assemble_job(cluster_config, job_config, fault_plan=plan)
-        env.run(until=parts.start())
+        job = assemble_job(cluster_config, job_config, fault_plan=plan)
+        job.env.run(until=job.start())
 
     Episode counters accumulate in ``stats`` (pass the job's
     ``extra_fault_stats`` to surface them in the result payload).

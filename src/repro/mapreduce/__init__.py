@@ -1,7 +1,7 @@
 """A Hadoop-0.19-style MapReduce engine over the virtual cluster."""
 
 from .job import JobConfig, JobSpec, MB
-from .jobtracker import JobContext, MapReduceJob, TaskPool
+from .jobtracker import MapReduceJob, TaskPool
 from .map_task import MapTask, map_task_proc
 from .multijob import (
     JOB_SCHEDULERS,
@@ -18,7 +18,6 @@ from .shuffle import MapOutput, ShuffleService
 __all__ = [
     "JOB_SCHEDULERS",
     "JobConfig",
-    "JobContext",
     "JobResult",
     "JobSpec",
     "MB",

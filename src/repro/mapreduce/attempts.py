@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
     from ..sim.rng import RngStreams
     from ..sim.tracing import TraceBus
-    from .jobtracker import JobContext, TaskPool
+    from .jobtracker import MapReduceJob, TaskPool
 
 __all__ = ["TaskAttempt", "AttemptManager"]
 
@@ -121,14 +121,14 @@ class AttemptManager:
     def __init__(
         self,
         env: "Environment",
-        ctx: "JobContext",
+        job: "MapReduceJob",
         pool: "TaskPool",
         plan: Optional["FaultPlan"] = None,
         rng: Optional["RngStreams"] = None,
         trace: Optional["TraceBus"] = None,
     ):
         self.env = env
-        self.ctx = ctx
+        self.job = job
         self.pool = pool
         self.plan = plan
         self.trace = trace
@@ -182,7 +182,7 @@ class AttemptManager:
         task = self.pool.take(vm_id)
         if task is not None:
             return self._start_map(task, 0, False)
-        if self.ctx.maps_finished >= self.ctx.n_maps:
+        if self.job.maps_finished >= self.job.n_maps:
             return None
         # Tasks may still fail, crash off their VM, or turn speculative:
         # wait for the manager to produce more work.
@@ -325,7 +325,7 @@ class AttemptManager:
 
     def _replace_reduce_vm(self, failed_vm: str) -> str:
         """Deterministically re-place a reduce retry off ``failed_vm``."""
-        alive = [vm.vm_id for vm in self.ctx.cluster.vms
+        alive = [vm.vm_id for vm in self.job.cluster.vms
                  if vm.vm_id not in self._crashed_vms]
         if not alive:
             return failed_vm
@@ -361,13 +361,13 @@ class AttemptManager:
     # -- speculation ---------------------------------------------------------------
     def _straggler_monitor(self):
         """Periodic scan for map attempts running far past the mean."""
-        ctx = self.ctx
+        job = self.job
         spec = self._spec
-        while ctx.maps_finished < ctx.n_maps:
+        while job.maps_finished < job.n_maps:
             yield self.env.timeout(spec.check_interval_s)
-            if ctx.maps_finished >= ctx.n_maps:
+            if job.maps_finished >= job.n_maps:
                 return
-            if ctx.maps_finished < spec.min_finished_fraction * ctx.n_maps:
+            if job.maps_finished < spec.min_finished_fraction * job.n_maps:
                 continue
             if self.pool.remaining() > 0 or self._retry_queue:
                 continue  # slots have real work; don't burn them on backups
@@ -417,7 +417,7 @@ class AttemptManager:
         return float(g.random())
 
     def _n_alive(self) -> int:
-        return len(self.ctx.cluster.vms) - len(self._crashed_vms)
+        return len(self.job.cluster.vms) - len(self._crashed_vms)
 
     def _wake(self) -> None:
         """Release workers parked on the work event."""

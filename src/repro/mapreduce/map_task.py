@@ -12,7 +12,7 @@ from .shuffle import MapOutput
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attempts import TaskAttempt
-    from .jobtracker import JobContext
+    from .jobtracker import MapReduceJob
 
 __all__ = ["MapTask", "map_task_proc"]
 
@@ -30,7 +30,7 @@ class MapTask:
         return self.vm_id in self.block.replicas
 
 
-def map_task_proc(ctx: "JobContext", task: "MapTask",
+def map_task_proc(job: "MapReduceJob", task: "MapTask",
                   attempt: Optional["TaskAttempt"] = None):
     """Generator implementing one map task's life.
 
@@ -49,9 +49,9 @@ def map_task_proc(ctx: "JobContext", task: "MapTask",
     Retried attempts suffix their scratch file names so rival attempts
     sharing a VM never collide.
     """
-    spec = ctx.config.spec
-    cfg = ctx.config
-    vm = ctx.cluster.vm(task.vm_id)
+    spec = job.config.spec
+    cfg = job.config
+    vm = job.cluster.vm(task.vm_id)
     pid = f"map{task.task_id}@{task.vm_id}"
     block = task.block
     # Attempt 0 keeps the historical names (bit-identical fault-free runs).
@@ -73,9 +73,9 @@ def map_task_proc(ctx: "JobContext", task: "MapTask",
         if raw <= 0:
             return
         if spec.combiner and spec.combine_cpu_s_per_mb > 0:
-            yield ctx.compute(vm, spec.combine_cpu_s_per_mb * raw / MB, pid)
+            yield job.compute(vm, spec.combine_cpu_s_per_mb * raw / MB, pid)
         # Sort the buffer before writing (quick-sort pass).
-        yield ctx.compute(vm, spec.sort_cpu_s_per_mb * raw / MB, pid)
+        yield job.compute(vm, spec.sort_cpu_s_per_mb * raw / MB, pid)
         to_disk = raw * (spec.map_output_ratio / spec.emit_ratio) if spec.emit_ratio else 0.0
         if to_disk <= 0:
             return
@@ -91,9 +91,9 @@ def map_task_proc(ctx: "JobContext", task: "MapTask",
         if aborted(0.8 * pos / block.size_bytes):
             return None
         chunk = min(cfg.io_chunk_bytes, block.size_bytes - pos)
-        yield from ctx.dn.read_block(block, task.vm_id, pid, pos, chunk)
+        yield from job.dn.read_block(block, task.vm_id, pid, pos, chunk)
         if spec.map_cpu_s_per_mb > 0:
-            yield ctx.compute(vm, spec.map_cpu_s_per_mb * chunk / MB, pid)
+            yield job.compute(vm, spec.map_cpu_s_per_mb * chunk / MB, pid)
         buffered_raw += chunk * spec.emit_ratio
         if buffered_raw >= buffer_limit:
             yield from spill()
@@ -112,7 +112,7 @@ def map_task_proc(ctx: "JobContext", task: "MapTask",
             # Spill data is usually still in the page cache; a cold
             # chunk costs a real read.
             yield from vm.read_file(f, 0, int(size), pid)
-        yield ctx.compute(vm, spec.sort_cpu_s_per_mb * total_out / MB, pid)
+        yield job.compute(vm, spec.sort_cpu_s_per_mb * total_out / MB, pid)
         yield from vm.write_file(merged, 0, int(total_out), pid)
         out_file = merged
     elif spills:
@@ -120,7 +120,7 @@ def map_task_proc(ctx: "JobContext", task: "MapTask",
     else:
         out_file = None
 
-    if attempt is not None and not ctx.attempts.claim_success(attempt):
+    if attempt is not None and not job.attempts.claim_success(attempt):
         # Killed, or a rival attempt registered first: discard quietly.
         return None
     output = MapOutput(
@@ -129,6 +129,6 @@ def map_task_proc(ctx: "JobContext", task: "MapTask",
         file=out_file,
         total_bytes=total_out,
     )
-    ctx.shuffle.register(output)
-    ctx.on_map_finished(task)
+    job.shuffle.register(output)
+    job.on_map_finished(task)
     return output

@@ -12,9 +12,10 @@ winning elevator pair flipping with the cluster-wide phase mix.
 
 Design notes:
 
-* Every job is a ``MapReduceJob``: its ``prepare`` builds the per-job
-  machinery (HDFS input/output, task pool, shuffle, task context,
-  attempt manager, CPU-noise stream) and every claim goes through its
+* Every job is a ``MapReduceJob``, enlisted as it is: its ``prepare``
+  builds the per-job machinery (HDFS input/output, task pool, shuffle,
+  attempt manager, CPU-noise stream), it holds its own slot counters,
+  and every claim goes through its
   :class:`~repro.mapreduce.attempts.AttemptManager`.  A multiplexed job
   differs from a single one only in identity: a ``j<id>`` tag on its
   records and scratch names, its own ``job<id>.cpu_noise`` stream,
@@ -36,12 +37,10 @@ Design notes:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
-    Deque,
     Dict,
     List,
     Optional,
@@ -71,7 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "JOB_SCHEDULERS",
     "JobScheduler",
-    "LiveJob",
     "MultiJobConfig",
     "MultiJobResult",
     "MultiJobTracker",
@@ -93,8 +91,7 @@ class JobScheduler:
 
     name = "?"
 
-    def order(self, jobs: List["LiveJob"],
-              tracker: "MultiJobTracker") -> List["LiveJob"]:
+    def order(self, jobs: List[MapReduceJob]) -> List[MapReduceJob]:
         raise NotImplementedError
 
 
@@ -103,7 +100,7 @@ class FifoScheduler(JobScheduler):
 
     name = "fifo"
 
-    def order(self, jobs, tracker):
+    def order(self, jobs):
         return sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
 
 
@@ -112,7 +109,7 @@ class FairScheduler(JobScheduler):
 
     name = "fair"
 
-    def order(self, jobs, tracker):
+    def order(self, jobs):
         return sorted(
             jobs, key=lambda j: (j.running_tasks, j.submit_time, j.job_id)
         )
@@ -127,7 +124,7 @@ class CapacityScheduler(JobScheduler):
 
     name = "capacity"
 
-    def order(self, jobs, tracker):
+    def order(self, jobs):
         usage: Dict[str, int] = {}
         for job in jobs:
             usage[job.tenant] = usage.get(job.tenant, 0) + job.running_tasks
@@ -142,9 +139,10 @@ class SjfScheduler(JobScheduler):
 
     name = "sjf"
 
-    def order(self, jobs, tracker):
+    def order(self, jobs):
         return sorted(
-            jobs, key=lambda j: (j.input_bytes, j.submit_time, j.job_id)
+            jobs, key=lambda j: (j.input_file.size_bytes, j.submit_time,
+                                 j.job_id)
         )
 
 
@@ -212,54 +210,7 @@ class MultiJobConfig:
             )
 
 
-# -- runtime state --------------------------------------------------------------------
-
-
-class LiveJob:
-    """One admitted job's multiplexer state; the job itself is ``job``."""
-
-    def __init__(self, job: MapReduceJob, tenant: str, size_class: str,
-                 submit_time: float):
-        self.job = job
-        self.tenant = tenant
-        self.size_class = size_class
-        self.submit_time = submit_time
-        #: Unclaimed reduce tasks, keyed by their pinned VM.
-        self.reduce_queues: Dict[str, Deque[ReduceTask]] = {
-            vm.vm_id: deque() for vm in job.cluster.vms
-        }
-        for task in job.reduce_tasks:
-            self.reduce_queues[task.vm_id].append(task)
-        self.running_maps = 0
-        self.running_reduces = 0
-        self.reduces_finished = 0
-        self.first_launch: Optional[float] = None
-        self.finished = False
-        self.end_time: Optional[float] = None
-
-    @property
-    def job_id(self) -> Optional[int]:
-        return self.job.job_id
-
-    @property
-    def tag(self) -> Optional[str]:
-        return self.job.tag
-
-    @property
-    def input_bytes(self) -> int:
-        return self.job.input_file.size_bytes
-
-    @property
-    def running_tasks(self) -> int:
-        return self.running_maps + self.running_reduces
-
-    @property
-    def maps_complete(self) -> bool:
-        ctx = self.job.ctx
-        return ctx.maps_finished >= ctx.n_maps
-
-    def has_unclaimed_reduces(self) -> bool:
-        return any(len(q) > 0 for q in self.reduce_queues.values())
+# -- the runtime ----------------------------------------------------------------------
 
 
 @dataclass
@@ -270,9 +221,6 @@ class MultiJobResult:
     start: float
     makespan: float
     jobs: List[Dict[str, Any]]
-
-
-# -- the runtime ----------------------------------------------------------------------
 
 
 class MultiJobTracker:
@@ -320,7 +268,7 @@ class MultiJobTracker:
         #: publishes its own ``job.*`` lifecycle records instead.
         self.trace = trace
         #: Admitted jobs in admission order (finished ones stay listed).
-        self.jobs: List[LiveJob] = []
+        self.jobs: List[MapReduceJob] = []
         self.n_finished = 0
         self._arrivals_open = bool(self.arrivals)
         self._next_task_id = 0
@@ -401,8 +349,8 @@ class MultiJobTracker:
                   sorted(self.jobs, key=lambda j: j.job_id)],
         )
 
-    def _record(self, job: LiveJob, end: float) -> Dict[str, Any]:
-        result = job.job.result(job.submit_time, end)
+    def _record(self, job: MapReduceJob, end: float) -> Dict[str, Any]:
+        result = job.result(job.submit_time, end)
         return {
             "job_id": job.job_id,
             "tag": job.tag,
@@ -422,7 +370,7 @@ class MultiJobTracker:
             "map_output_bytes": result.map_output_bytes,
             "shuffle_bytes": result.shuffle_bytes,
             "reduce_output_bytes": result.reduce_output_bytes,
-            "stolen": job.job.pool.stolen,
+            "stolen": job.pool.stolen,
         }
 
     # -- wake plumbing (no busy-wait) -----------------------------------------------
@@ -481,52 +429,55 @@ class MultiJobTracker:
             job_id=arrival.job_id, first_task_id=self._next_task_id,
         )
         job.prepare()
-        self._next_task_id += job.ctx.n_maps
-        live = self._enlist(job, arrival.tenant, arrival.size_class.name)
+        self._next_task_id += job.n_maps
+        self._enlist(job, arrival.tenant, arrival.size_class.name)
         if self.trace is not None:
             self.trace.publish(
                 self.env.now, "sched.job_admitted",
-                job=live.tag, tenant=live.tenant, size_class=live.size_class,
-                input_bytes=live.input_bytes, n_maps=job.ctx.n_maps,
+                job=job.tag, tenant=job.tenant, size_class=job.size_class,
+                input_bytes=job.input_file.size_bytes, n_maps=job.n_maps,
             )
         self._notify()
         self._notify_phase()
 
     def _enlist(self, job: MapReduceJob, tenant: str,
-                size_class: str) -> LiveJob:
-        live = LiveJob(job, tenant, size_class, submit_time=self.env.now)
-        job.ctx.wake_slots = self._notify
-        self.jobs.append(live)
-        return live
+                size_class: str) -> None:
+        job.tenant = tenant
+        job.size_class = size_class
+        job.submit_time = self.env.now
+        job.wake_slots = self._notify
+        self.jobs.append(job)
 
     # -- slot workers ---------------------------------------------------------------
-    def _live(self) -> List[LiveJob]:
+    def _live(self) -> List[MapReduceJob]:
         return [job for job in self.jobs if not job.finished]
 
     def _claim_map(
         self, vm_id: str,
-    ) -> Union[Tuple[LiveJob, TaskAttempt], Event, None]:
+    ) -> Union[Tuple[MapReduceJob, TaskAttempt], Event, None]:
         """The first job in scheduler order with map work for ``vm_id``,
         else an event to park on (retries may still appear), else None."""
         wait = None
-        for job in self.scheduler.order(self._live(), self):
-            claim = job.job.attempts.claim_map(vm_id)
+        for job in self.scheduler.order(self._live()):
+            claim = job.attempts.claim_map(vm_id)
             if isinstance(claim, TaskAttempt):
                 return job, claim
             if wait is None:
                 wait = claim
         return wait
 
-    def _claim_reduce(self, vm_id: str) -> Optional[Tuple[LiveJob, ReduceTask]]:
-        for job in self.scheduler.order(self._live(), self):
-            if not job.job.ctx.reducers_may_start.triggered:
+    def _claim_reduce(
+        self, vm_id: str,
+    ) -> Optional[Tuple[MapReduceJob, ReduceTask]]:
+        for job in self.scheduler.order(self._live()):
+            if not job.reducers_may_start.triggered:
                 continue  # slowstart gate still closed
             queue = job.reduce_queues[vm_id]
             if queue:
                 return job, queue.popleft()
         return None
 
-    def _launched(self, job: LiveJob, kind: str, vm_id: str,
+    def _launched(self, job: MapReduceJob, kind: str, vm_id: str,
                   task_id: int) -> None:
         if job.first_launch is None:
             job.first_launch = self.env.now
@@ -547,14 +498,14 @@ class MultiJobTracker:
                 job.running_maps += 1
                 self._launched(job, "map", vm_id, attempt.task.task_id)
                 yield self.env.process(
-                    map_task_proc(job.job.ctx, attempt.task, attempt)
+                    map_task_proc(job, attempt.task, attempt)
                 )
-                job.job.attempts.map_attempt_done(attempt)
+                job.attempts.map_attempt_done(attempt)
                 job.running_maps -= 1
                 self._task_done(job)
                 continue
             if not self._arrivals_open and not any(
-                job.job.pool.remaining() > 0 for job in self.jobs
+                job.pool.remaining() > 0 for job in self.jobs
             ):
                 return
             yield self._sleep()
@@ -566,7 +517,7 @@ class MultiJobTracker:
                 job, task = claim
                 job.running_reduces += 1
                 self._launched(job, "reduce", vm_id, task.reducer_idx)
-                yield from self._run_reduce(job.job, task)
+                yield from self._run_reduce(job, task)
                 job.running_reduces -= 1
                 job.reduces_finished += 1
                 self._task_done(job)
@@ -582,23 +533,23 @@ class MultiJobTracker:
         attempt = mgr.start_reduce(task)
         if attempt is None:
             # Fault-free path: exactly one execution.
-            yield self.env.process(reduce_task_proc(job.ctx, task))
+            yield self.env.process(reduce_task_proc(job, task))
             return
         while attempt is not None:
             yield self.env.process(
-                reduce_task_proc(job.ctx, attempt.task, attempt)
+                reduce_task_proc(job, attempt.task, attempt)
             )
             attempt = mgr.reduce_attempt_done(attempt)
 
-    def _task_done(self, job: LiveJob) -> None:
+    def _task_done(self, job: MapReduceJob) -> None:
         self._maybe_finish(job)
         self._notify()
         self._notify_phase()
 
-    def _maybe_finish(self, job: LiveJob) -> None:
+    def _maybe_finish(self, job: MapReduceJob) -> None:
         if job.finished:
             return
-        if job.maps_complete and job.reduces_finished >= len(job.job.reduce_tasks):
+        if job.maps_complete and job.reduces_finished >= len(job.reduce_tasks):
             job.finished = True
             job.end_time = self.env.now
             self.n_finished += 1

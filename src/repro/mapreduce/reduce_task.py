@@ -13,7 +13,7 @@ from .shuffle import MapOutput
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attempts import TaskAttempt
-    from .jobtracker import JobContext
+    from .jobtracker import MapReduceJob
 
 __all__ = ["ReduceTask", "reduce_task_proc"]
 
@@ -31,7 +31,7 @@ class ReduceTask:
     tag: str = ""
 
 
-def reduce_task_proc(ctx: "JobContext", task: "ReduceTask",
+def reduce_task_proc(job: "MapReduceJob", task: "ReduceTask",
                      attempt: Optional["TaskAttempt"] = None):
     """Generator implementing one reduce task.
 
@@ -53,21 +53,21 @@ def reduce_task_proc(ctx: "JobContext", task: "ReduceTask",
     service's registration list (their queue was drained by the dead
     attempt) and wait on registration events for outputs still to come.
     """
-    spec = ctx.config.spec
-    cfg = ctx.config
-    vm = ctx.cluster.vm(task.vm_id)
+    spec = job.config.spec
+    cfg = job.config
+    vm = job.cluster.vm(task.vm_id)
     pid = f"red{task.tag}{task.reducer_idx}@{task.vm_id}"
-    n_reducers = ctx.shuffle.n_reducers
-    n_maps = ctx.shuffle.n_maps
-    queue = ctx.shuffle.queues[task.reducer_idx]
+    n_reducers = job.shuffle.n_reducers
+    n_maps = job.shuffle.n_maps
+    queue = job.shuffle.queues[task.reducer_idx]
     suffix = "" if attempt is None or attempt.number == 0 else f".a{attempt.number}"
 
-    fetch_slots = Resource(ctx.env, capacity=cfg.max_parallel_fetches)
+    fetch_slots = Resource(job.env, capacity=cfg.max_parallel_fetches)
     mem_buffered = 0.0
     total_input = 0.0
     spills: List[GuestFile] = []
     spill_bytes: List[float] = []
-    spill_lock = Resource(ctx.env, capacity=1)
+    spill_lock = Resource(job.env, capacity=1)
 
     def aborted(progress: float) -> bool:
         return attempt is not None and attempt.should_abort(progress)
@@ -80,7 +80,7 @@ def reduce_task_proc(ctx: "JobContext", task: "ReduceTask",
             if nbytes > 0 and desc.file is not None:
                 offset = desc.partition_offset(task.reducer_idx, n_reducers)
                 length = int(nbytes)
-                src_vm = ctx.cluster.vm(desc.vm_id)
+                src_vm = job.cluster.vm(desc.vm_id)
                 if length > 0:
                     end = min(offset + length, desc.file.size_bytes)
                     length = max(0, end - offset)
@@ -92,7 +92,7 @@ def reduce_task_proc(ctx: "JobContext", task: "ReduceTask",
                     )
                     # ... and it crosses the network unless VM-local.
                     if desc.vm_id != task.vm_id:
-                        yield ctx.topology.transfer(
+                        yield job.topology.transfer(
                             src_vm.host_name,
                             vm.host_name,
                             length,
@@ -105,7 +105,7 @@ def reduce_task_proc(ctx: "JobContext", task: "ReduceTask",
                     yield lock
                     if mem_buffered >= cfg.shuffle_buffer_bytes:
                         yield from spill_to_disk()
-        ctx.shuffle.note_fetch_complete(task.reducer_idx, desc.map_id, nbytes)
+        job.shuffle.note_fetch_complete(task.reducer_idx, desc.map_id, nbytes)
 
     def spill_to_disk():
         nonlocal mem_buffered
@@ -113,7 +113,7 @@ def reduce_task_proc(ctx: "JobContext", task: "ReduceTask",
         mem_buffered = 0.0
         if amount < 1:
             return
-        yield ctx.compute(vm, spec.sort_cpu_s_per_mb * amount / MB, pid)
+        yield job.compute(vm, spec.sort_cpu_s_per_mb * amount / MB, pid)
         f = vm.create_file(
             f"rspill_{task.tag}{task.reducer_idx}_{len(spills)}{suffix}",
             int(amount)
@@ -129,21 +129,21 @@ def reduce_task_proc(ctx: "JobContext", task: "ReduceTask",
             if aborted(0.5 * i / n_maps):
                 return None
             desc = yield queue.get()
-            fetchers.append(ctx.env.process(fetch_one(desc)))
+            fetchers.append(job.env.process(fetch_one(desc)))
     else:
         # Retry path: replay the registration log, then wait for the rest.
         seen = 0
         while seen < n_maps:
             if aborted(0.5 * seen / n_maps):
                 return None
-            if seen < len(ctx.shuffle.outputs):
-                desc = ctx.shuffle.outputs[seen]
+            if seen < len(job.shuffle.outputs):
+                desc = job.shuffle.outputs[seen]
                 seen += 1
-                fetchers.append(ctx.env.process(fetch_one(desc)))
+                fetchers.append(job.env.process(fetch_one(desc)))
             else:
-                yield ctx.shuffle.wait_register()
+                yield job.shuffle.wait_register()
     if fetchers:
-        yield AllOf(ctx.env, fetchers)
+        yield AllOf(job.env, fetchers)
 
     # -- stage 2: merge --------------------------------------------------------------
     for i, (f, size) in enumerate(zip(spills, spill_bytes)):
@@ -151,17 +151,17 @@ def reduce_task_proc(ctx: "JobContext", task: "ReduceTask",
             return None
         yield from vm.read_file(f, 0, int(size), pid)
     if total_input > 0:
-        yield ctx.compute(vm, spec.sort_cpu_s_per_mb * total_input / MB, pid)
+        yield job.compute(vm, spec.sort_cpu_s_per_mb * total_input / MB, pid)
 
     # -- stage 3: reduce + replicated output --------------------------------------------
     out_bytes = int(total_input * spec.reduce_output_ratio)
-    out_file = ctx.output_file
+    out_file = job.output_file
     written = 0
     while written < out_bytes:
         if aborted(0.7 + 0.3 * written / out_bytes):
             return None
         block_size = min(cfg.block_size, out_bytes - written)
-        block = ctx.namenode.add_block(out_file, block_size, task.vm_id)
+        block = job.namenode.add_block(out_file, block_size, task.vm_id)
         if spec.reduce_cpu_s_per_mb > 0:
             # Reduce function produces this block's worth of output.
             consumed = (
@@ -169,14 +169,14 @@ def reduce_task_proc(ctx: "JobContext", task: "ReduceTask",
                 if spec.reduce_output_ratio > 0
                 else 0.0
             )
-            yield ctx.compute(vm, spec.reduce_cpu_s_per_mb * consumed / MB, pid)
-        yield from ctx.dn.write_block(block, task.vm_id, pid)
+            yield job.compute(vm, spec.reduce_cpu_s_per_mb * consumed / MB, pid)
+        yield from job.dn.write_block(block, task.vm_id, pid)
         written += block_size
     if out_bytes == 0 and total_input > 0 and spec.reduce_cpu_s_per_mb > 0:
         # Output-light jobs still run the reduce function over all input.
-        yield ctx.compute(vm, spec.reduce_cpu_s_per_mb * total_input / MB, pid)
+        yield job.compute(vm, spec.reduce_cpu_s_per_mb * total_input / MB, pid)
 
-    if attempt is not None and not ctx.attempts.claim_success(attempt):
+    if attempt is not None and not job.attempts.claim_success(attempt):
         return None
-    ctx.on_reduce_finished(task, total_input, out_bytes)
+    job.on_reduce_finished(task, out_bytes)
     return total_input

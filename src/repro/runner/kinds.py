@@ -334,11 +334,10 @@ def _run_dd(config, seed: int) -> Dict[str, Any]:
 def _run_instrumented_job(config, seed: int) -> Dict[str, Any]:
     """config = (ClusterConfig, JobConfig); exports throughput samples."""
     cluster_config, job_config = config
-    parts = assemble_job(cluster_config, job_config, seed=seed,
-                         trace=capture.current_bus())
-    env, cluster = parts.env, parts.cluster
-    proc = parts.start()
-    env.run(until=proc)
+    job = assemble_job(cluster_config, job_config, seed=seed,
+                       trace=capture.current_bus())
+    env, cluster = job.env, job.cluster
+    env.run(until=job.start())
     duration = env.now
     host = cluster.hosts[0]
     dom0 = [r / MB for r in host.disk.stats.throughput.rates(0.0, duration)]
@@ -355,16 +354,16 @@ def _run_instrumented_job(config, seed: int) -> Dict[str, Any]:
 def _run_sort_custom(config, seed: int) -> Dict[str, Any]:
     """config = (ClusterConfig, JobConfig, zero_anticipation: bool)."""
     cluster_config, job_config, zero_anticipation = config
-    parts = assemble_job(cluster_config, job_config, seed=seed,
-                         trace=capture.current_bus())
+    job = assemble_job(cluster_config, job_config, seed=seed,
+                       trace=capture.current_bus())
     if zero_anticipation:
         # Swap before any I/O exists; queues are empty so this is free.
-        for host in parts.cluster.hosts:
+        for host in job.cluster.hosts:
             host.disk.scheduler = AnticipatoryScheduler(
                 params=AnticipatoryParams(antic_expire=1e-9, max_think_time=0.0)
             )
-    proc = parts.start()
-    parts.env.run(until=proc)
+    proc = job.start()
+    job.env.run(until=proc)
     return {"duration": proc.value.duration}
 
 
@@ -372,9 +371,9 @@ def _run_sort_custom(config, seed: int) -> Dict[str, Any]:
 def _run_online_sort(config, seed: int) -> Dict[str, Any]:
     """config = (ClusterConfig, JobConfig); reactive controller attached."""
     cluster_config, job_config = config
-    parts = assemble_job(cluster_config, job_config, seed=seed,
-                         trace=capture.current_bus())
-    OnlineController(parts.env, parts.cluster)  # starts its own process
-    proc = parts.start()
-    parts.env.run(until=proc)
+    job = assemble_job(cluster_config, job_config, seed=seed,
+                       trace=capture.current_bus())
+    OnlineController(job.env, job.cluster)  # starts its own process
+    proc = job.start()
+    job.env.run(until=proc)
     return {"duration": proc.value.duration}

@@ -53,10 +53,14 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         # Each would otherwise fail deep in the build or the run (the
-        # shuffle plan, numpy's SeedSequence), naming no field.
+        # shuffle plan, numpy's SeedSequence), naming no field; a float
+        # seed would be truncated to another run's seed.
         for name, value, low in (("hosts", self.hosts, 1),
                                  ("vms_per_host", self.vms_per_host, 1),
                                  ("seed", self.seed, 0)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"ClusterConfig.{name} must be an int, got {value!r}")
             if value < low:
                 raise ValueError(
                     f"ClusterConfig.{name} must be >= {low}, got {value}")

@@ -5,7 +5,6 @@ from .arrivals import (
     ArrivalConfig,
     JobArrival,
     SizeClass,
-    TraceArrival,
     generate_arrivals,
 )
 from .ddwrite import DdParallelWrite, dd_writer
@@ -27,7 +26,6 @@ __all__ = [
     "SORT",
     "SizeClass",
     "SysbenchSeqWrite",
-    "TraceArrival",
     "WORDCOUNT",
     "WORDCOUNT_NO_COMBINER",
     "benchmark",

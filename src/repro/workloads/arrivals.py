@@ -3,7 +3,7 @@
 The paper's experiments run one job at a time; a consolidated cluster
 sees a *stream* of jobs from several tenants.  This module generates
 that stream as pure data: a :class:`ArrivalConfig` describes the
-process (Poisson or an explicit trace, a tenant mix, a heavy-tailed
+process (a Poisson rate, uniformly drawn tenants, a heavy-tailed
 job-size mix) and :func:`generate_arrivals` expands it into concrete
 :class:`JobArrival`s using an injected RNG stream, so the schedule is a
 deterministic function of ``(config, seed)`` exactly like every other
@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_SIZE_MIX",
     "JobArrival",
     "SizeClass",
-    "TraceArrival",
     "generate_arrivals",
 ]
 
@@ -66,84 +65,40 @@ DEFAULT_SIZE_MIX: Tuple[SizeClass, ...] = (
 
 
 @dataclass(frozen=True)
-class TraceArrival:
-    """One explicit entry of a trace-driven arrival schedule."""
-
-    time: float
-    tenant: str
-    size_class: str = "medium"
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.time < math.inf:
-            raise ValueError(
-                f"trace arrival time must be finite and non-negative, "
-                f"got {self.time}")
-
-
-@dataclass(frozen=True)
 class ArrivalConfig:
-    """A declarative multi-tenant arrival process (pure data).
+    """A declarative multi-tenant Poisson arrival process (pure data).
 
-    ``kind="poisson"`` draws exponential interarrival gaps at ``rate``
-    jobs per simulated second and assigns tenants/size classes by
-    weighted draw; ``kind="trace"`` replays the explicit ``trace``
-    entries (``n_jobs``/``rate``/weights are ignored).  Built from
-    dataclasses, tuples, and scalars only, so it canonicalises into the
-    sweep cache key unchanged.
+    Interarrival gaps are exponential at ``rate`` jobs per simulated
+    second; each job's tenant is drawn uniformly and its size class by
+    weight.  Built from dataclasses, tuples, and scalars only, so it
+    canonicalises into the sweep cache key unchanged.
     """
 
-    kind: str = "poisson"
     n_jobs: int = 3
-    #: Mean arrival rate, jobs per simulated second (Poisson only).
+    #: Mean arrival rate, jobs per simulated second.
     rate: float = 0.02
     tenants: Tuple[str, ...] = ("tenant-a", "tenant-b")
-    #: Unnormalised per-tenant weights; empty = uniform.
-    tenant_weights: Tuple[float, ...] = ()
     size_classes: Tuple[SizeClass, ...] = DEFAULT_SIZE_MIX
-    trace: Tuple[TraceArrival, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("poisson", "trace"):
+        # A float count fails in the generator's range(), a bool passes
+        # as 0 or 1.
+        if (isinstance(self.n_jobs, bool) or not isinstance(self.n_jobs, int)
+                or self.n_jobs < 1):
+            raise ValueError(f"n_jobs must be an int >= 1, got {self.n_jobs!r}")
+        if not 0 < self.rate < math.inf:
             raise ValueError(
-                f"arrival kind must be 'poisson' or 'trace', got {self.kind!r}"
-            )
-        if self.kind == "poisson":
-            if self.n_jobs < 1:
-                raise ValueError("n_jobs must be >= 1")
-            if not 0 < self.rate < math.inf:
-                raise ValueError(
-                    f"rate must be finite and positive, got {self.rate}")
-            if not self.tenants:
-                raise ValueError("at least one tenant is required")
-            if self.tenant_weights and (
-                len(self.tenant_weights) != len(self.tenants)
-            ):
-                raise ValueError(
-                    "tenant_weights must match tenants "
-                    f"({len(self.tenant_weights)} != {len(self.tenants)})"
-                )
-            if not all(0 <= w < math.inf for w in self.tenant_weights):
-                raise ValueError(
-                    f"tenant_weights must be finite and non-negative, got "
-                    f"{self.tenant_weights}")
-            if not self.size_classes:
-                raise ValueError("at least one size class is required")
-            names = [sc.name for sc in self.size_classes]
-            if len(set(names)) != len(names):
-                raise ValueError(f"duplicate size-class names in {names}")
-        else:
-            if not self.trace:
-                raise ValueError("trace arrivals need at least one entry")
-            times = [entry.time for entry in self.trace]
-            if times != sorted(times):
-                raise ValueError("trace entries must be time-ordered")
-            known = [sc.name for sc in self.size_classes]
-            for entry in self.trace:
-                if entry.size_class not in known:
-                    raise ValueError(
-                        f"trace entry names unknown size class "
-                        f"{entry.size_class!r} (have {known})"
-                    )
+                f"rate must be finite and positive, got {self.rate}")
+        if not self.tenants:
+            raise ValueError("at least one tenant is required")
+        # No class (or only weight-0 ones) leaves nothing to draw.
+        weights = [sc.weight for sc in self.size_classes]
+        if not sum(weights) > 0:
+            raise ValueError(
+                f"size-class weights must sum to more than 0, got {weights}")
+        names = [sc.name for sc in self.size_classes]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate size-class names in {names}")
 
 
 @dataclass(frozen=True)
@@ -159,8 +114,6 @@ class JobArrival:
 def _weighted_index(weights: List[float], draw: float) -> int:
     """Index of the bucket a uniform ``draw`` in [0, 1) lands in."""
     total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w / total
@@ -180,15 +133,7 @@ def generate_arrivals(
     draw order is fixed — gap, tenant, size per job — making the output
     independent of how callers consume it.
     """
-    if config.kind == "trace":
-        by_name = {sc.name: sc for sc in config.size_classes}
-        return tuple(
-            JobArrival(job_id=i, time=entry.time, tenant=entry.tenant,
-                       size_class=by_name[entry.size_class])
-            for i, entry in enumerate(config.trace)
-        )
-
-    tenant_weights = list(config.tenant_weights) or [1.0] * len(config.tenants)
+    tenant_weights = [1.0] * len(config.tenants)
     size_weights = [sc.weight for sc in config.size_classes]
     arrivals = []
     now = 0.0

@@ -88,12 +88,26 @@ def test_negative_seed_is_rejected_naming_the_field():
         ClusterConfig().with_(seed=-1)
     with pytest.raises(ValueError, match="seed"):
         simulate(Scenario(**TINY), seed=-1)
+    # A float seed was truncated: 1.5 returned seed 1's payload.
+    with pytest.raises(ValueError, match="seed"):
+        simulate(Scenario(**TINY), seed=1.5)
+
+
+@pytest.mark.parametrize("bad, named", [
+    (dict(hosts=True), "hosts"),
+    (dict(vms_per_host=2.0), "vms_per_host"),
+    (dict(seed=1.5), "seed"),
+    (dict(seed=False), "seed"),
+])
+def test_cluster_config_counts_and_seed_must_be_ints(bad, named):
+    with pytest.raises(ValueError, match=named):
+        ClusterConfig(**bad)
 
 
 #: (bad facade field, text the error must name).  Each used to construct
 #: and fail only in to_spec() or the run; hosts/vms_per_host=0 failed in
-#: the shuffle plan or the hypervisor, and bytes_per_vm <= 0 ran a job
-#: of one 1 MiB block per VM.
+#: the shuffle plan or the hypervisor, a float count in the cluster
+#: build, and bytes_per_vm <= 0 ran a job of one 1 MiB block per VM.
 BAD_FACADE_FIELDS = [
     (dict(pair="zz"), "zz"),
     (dict(workload="nope"), "nope"),
@@ -102,6 +116,8 @@ BAD_FACADE_FIELDS = [
     (dict(vms_per_host=0), "vms_per_host"),
     (dict(bytes_per_vm=0), "bytes_per_vm"),
     (dict(bytes_per_vm=-5), "bytes_per_vm"),
+    (dict(hosts=1.5), "hosts"),
+    (dict(vms_per_host=2.5), "vms_per_host"),
 ]
 
 
@@ -215,17 +231,16 @@ def test_sweep_takes_one_facade_of_any_kind(facade):
 
 
 def test_assemble_job_wires_the_full_stack():
-    parts = assemble_job(
+    job = assemble_job(
         scaled_cluster(0.05, hosts=1, vms_per_host=2),
         scaled_job(SORT, 0.05),
         seed=7,
     )
-    assert parts.cluster.env is parts.env
-    assert parts.job.cluster is parts.cluster
-    assert parts.namenode.cluster is parts.cluster
-    assert parts.job.namenode is parts.namenode
+    assert job.cluster.env is job.env
+    assert job.topology.env is job.env
+    assert job.namenode.cluster is job.cluster
     # The cluster was re-seeded.
-    assert parts.cluster.config.seed == 7
+    assert job.cluster.config.seed == 7
 
 
 def test_package_root_exports_the_facade():

@@ -88,9 +88,9 @@ def test_switch_changes_installed_pair():
     from repro.api import assemble_job
 
     config = tiny_testbed()
-    parts = assemble_job(config.cluster.with_(initial_pair=CC), config.job)
-    env, cluster, job = parts.env, parts.cluster, parts.job
-    proc = parts.start()
+    job = assemble_job(config.cluster.with_(initial_pair=CC), config.job)
+    env, cluster = job.env, job.cluster
+    proc = job.start()
 
     def switcher():
         yield job.maps_done_event

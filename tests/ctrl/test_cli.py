@@ -116,6 +116,16 @@ def test_run_rejects_a_negative_seed_naming_the_flag(capsys):
     assert "--seed" in err and "-1" in err
 
 
+def test_run_rejects_a_zero_count_naming_only_its_flag(capsys):
+    # The five count flags shared one message, which said "jobs".
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--hosts", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --hosts: must be >= 1, got 0" in err
+    assert "jobs" not in err
+
+
 def test_run_rejects_unknown_pairs_with_choices_listed(capsys):
     with pytest.raises(SystemExit) as exc:
         run_controlled(["--plan", "ad,zz"])

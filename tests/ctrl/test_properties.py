@@ -165,8 +165,8 @@ def test_device_counts_equal_the_trace_queue_depth_gauges(storage):
     bus = TraceBus()
     bus.record_topic("disk.*")
     bus.retain_records = False
-    parts = assemble_job(testbed.cluster, testbed.job, seed=0, trace=bus)
-    cluster = parts.cluster
+    job = assemble_job(testbed.cluster, testbed.job, seed=0, trace=bus)
+    cluster = job.cluster
     devices = {host.disk.name: host.disk for host in cluster.hosts}
     devices.update({vm.vdisk.name: vm.vdisk for vm in cluster.vms})
     assert len(devices) == len(cluster.hosts) + len(cluster.vms)
@@ -184,14 +184,14 @@ def test_device_counts_equal_the_trace_queue_depth_gauges(storage):
         checked[0] += 1
 
     bus.add_sink(check)
-    proc = parts.start()
+    proc = job.start()
 
     def switch():
-        yield parts.job.maps_done_event
+        yield job.maps_done_event
         yield cluster.set_pair(SchedulerPair.parse("ad"))
 
-    parts.env.process(switch())
-    parts.env.run(until=proc)
+    job.env.process(switch())
+    job.env.run(until=proc)
     assert mismatches == []
     assert checked[0] > 0
     assert cluster.current_pair.label == "ad"

@@ -199,52 +199,54 @@ def test_channel_backlog_trace_hand_computed():
     assert [ev.value.complete_time for ev in done] == [lat, lat + lat]
 
 
-#: Pinned outputs of ``_churn_with_reads`` (recorded on the model where
-#: every NAND channel was its own server process): GC victims and moved
-#: pages in order, final FTL counters, final clock, read completions.
+#: Pinned outputs of ``_churn_with_reads``: GC victims and moved pages
+#: in order, final FTL counters, final clock, read completions.
 CHURN_GC = [
-    (0, 2), (1, 2), (2, 2), (3, 2), (4, 0), (0, 2), (5, 0),
-] + [(b, 0) for b in (1, 2, 3, 4, 0, 5)] * 5 + [(1, 0), (2, 0)]
+    (0, 2), (1, 2), (4, 1),
+] + [(b, 0) for b in (2, 3, 0, 5, 1, 6, 4)] * 4 + [
+    (b, 0) for b in (2, 3, 0, 5, 1, 6)
+]
 CHURN_STATS = {
-    "kind": "ssd", "host_pages": 170, "nand_programs": 180,
-    "nand_reads": 96, "nand_erases": 39, "gc_cycles": 39,
-    "gc_moved_pages": 10, "flushed_pages": 170, "cache_coalesced": 0,
-    "cache_read_hits": 0, "write_amp": 1.0588235294117647,
+    "kind": "ssd", "host_pages": 170, "nand_programs": 175,
+    "nand_reads": 91, "nand_erases": 37, "gc_cycles": 37,
+    "gc_moved_pages": 5, "flushed_pages": 170, "cache_coalesced": 0,
+    "cache_read_hits": 0, "write_amp": 1.0294117647058822,
 }
-CHURN_NOW = 16.096419999999984
+CHURN_NOW = 16.09263999999998
 CHURN_READS = [
     0.0024600000000000004, 0.002085, 0.0025200000000000005, 0.002145,
-    0.0025800000000000007, 0.0022050000000000004, 1.0073599999999996,
-    1.0074199999999995, 1.0073599999999996, 1.0074199999999995,
-    1.0074799999999995, 2.0118599999999986, 2.0124599999999986,
-    2.0125199999999985, 2.0119199999999986, 2.0119799999999985,
-    3.016979999999998, 3.017039999999998, 3.0196999999999976,
-    3.0197599999999976, 3.017099999999998, 3.017159999999998, 4.02362,
-    4.023680000000001, 4.023740000000001, 4.023800000000001,
-    4.026220000000001, 5.028305000000002, 5.028365000000003,
-    5.028425000000003, 5.032880000000005, 5.032940000000005,
-    6.039600000000009, 6.039660000000009, 6.037400000000007,
-    6.037460000000007, 6.037520000000008, 6.037580000000008,
-    7.0435200000000115, 7.043580000000012, 7.043640000000012,
-    7.043700000000013, 7.046120000000013, 8.048205000000012,
-    8.05278000000001, 8.052840000000009, 8.048265000000011,
-    8.04832500000001, 9.059100000000006, 9.059160000000006,
-    9.056700000000006, 9.056760000000006, 9.056820000000005,
-    9.056880000000005, 10.063420000000002, 10.063480000000002,
-    10.065220000000004, 10.065280000000003, 10.063540000000001, 11.06914,
-    11.0692, 11.06926, 11.06974, 11.069799999999999, 12.074259999999997,
-    12.074319999999997, 12.076459999999996, 12.076519999999995,
-    12.074379999999996, 12.074439999999996, 13.080379999999993,
-    13.080439999999992, 13.080499999999992, 13.080559999999991,
-    13.082979999999992, 14.085064999999991, 14.08512499999999,
-    14.08518499999999, 14.089639999999989, 14.089699999999988,
-    15.096359999999985, 15.096419999999984, 15.094159999999986,
-    15.094219999999986, 15.094279999999985, 15.094339999999985,
+    0.0025800000000000007, 0.0022050000000000004, 1.0075599999999996,
+    1.0076199999999995, 1.0046649999999997, 1.0047249999999996,
+    1.0076799999999995, 2.011999999999999, 2.012459999999999,
+    2.012519999999999, 2.012059999999999, 2.012119999999999,
+    3.0169799999999984, 3.0161799999999985, 3.0162399999999985,
+    3.0162999999999984, 3.0170399999999984, 3.0170999999999983,
+    4.0209600000000005, 4.021020000000001, 4.021080000000001,
+    4.023560000000002, 4.023620000000002, 5.032480000000006,
+    5.032540000000006, 5.025705000000003, 5.025765000000003,
+    5.025825000000004, 6.036400000000008, 6.036800000000009,
+    6.03686000000001, 6.03692000000001, 6.0369800000000104,
+    6.037040000000011, 7.0415000000000125, 7.0437000000000145,
+    7.043760000000015, 7.041560000000013, 7.041620000000013,
+    8.048020000000013, 8.048080000000013, 8.048140000000013,
+    8.048200000000012, 8.05082000000001, 9.054680000000008,
+    9.054740000000008, 9.054800000000007, 9.054860000000007,
+    9.054920000000006, 9.055080000000007, 10.059140000000005,
+    10.061340000000005, 10.061400000000004, 10.059200000000004,
+    10.059260000000004, 11.065260000000002, 11.065320000000002,
+    11.067860000000001, 11.06792, 11.06798, 12.070065, 12.070124999999999,
+    12.070184999999999, 12.074439999999997, 12.074499999999997,
+    12.070244999999998, 13.083559999999993, 13.076584999999996,
+    13.076644999999996, 13.076704999999995, 13.076764999999995,
+    14.08781999999999, 14.08787999999999, 14.087939999999989,
+    14.087999999999989, 14.088059999999988, 15.091719999999986,
+    15.092519999999984, 15.092579999999984, 15.091779999999986,
+    15.091839999999985, 15.092639999999983,
 ]
 #: sha256 of the churn's ``ssd.channel`` and ``ssd.writeback`` records:
 #: every NAND booking's channel and backlog, and every flush, in order.
 CHURN_CHANNEL_WRITEBACK_SHA256 = (
-    "b45b6a7db8b343e19ec4dcea648031ebc2a4f1cfa90653848ba2fd0db4f00912"
+    "ab254d1df3fbc377ecfb3a2914e5de02f88820b06252619691f6e25dafb12773"
 )
 
 
@@ -270,7 +272,7 @@ def _churn_with_reads():
         reads += [ev.value.complete_time for ev in done]
         env.run(until=env.now + 1.0)
     dev.check_conservation()
-    return bus, dev.storage_stats(), env.now, reads
+    return bus, dev, env.now, reads
 
 
 def records_sha256(records):
@@ -281,16 +283,27 @@ def records_sha256(records):
 
 def test_gc_churn_bit_identical():
     """No benchmark workload reaches GC, so its timing is pinned here."""
-    bus, stats, now, reads = _churn_with_reads()
+    bus, dev, now, reads = _churn_with_reads()
     gc = [(r.payload["victim"], r.payload["moved"])
           for r in bus.recorded("ssd.gc")]
     assert gc == CHURN_GC
-    assert stats == CHURN_STATS
+    assert dev.storage_stats() == CHURN_STATS
     assert now == CHURN_NOW
     assert reads == CHURN_READS
     assert records_sha256(
         r for r in bus.records if r.topic in ("ssd.channel", "ssd.writeback")
     ) == CHURN_CHANNEL_WRITEBACK_SHA256
+
+
+def test_gc_fills_the_block_its_moves_opened():
+    """A write that finds no free block runs GC, whose moves open a
+    block; the write goes on filling it, so only the open block has
+    free slots (GC's block was sealed half-empty: 9 blocks, not 7)."""
+    dev = _churn_with_reads()[1]
+    assert [
+        block for block, slots in dev._blocks.items()
+        if block != dev._open and len(slots) != SMALL.pages_per_block
+    ] == []
 
 
 def test_gc_records_never_report_write_amp_below_one():

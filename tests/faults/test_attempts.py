@@ -21,7 +21,7 @@ def make_task(tid, vm):
     return MapTask(task_id=tid, block=block, vm_id=vm)
 
 
-def make_ctx(env, vms=("a", "b"), n_maps=2):
+def make_job(env, vms=("a", "b"), n_maps=2):
     return SimpleNamespace(
         env=env,
         maps_finished=0,
@@ -37,7 +37,7 @@ FAILING = FaultPlan(tasks=TaskFaults(map_fail_prob=1.0, reduce_fail_prob=1.0,
 def test_inert_manager_is_plain_pool_take():
     env = Environment()
     pool = TaskPool([make_task(0, "a")])
-    mgr = AttemptManager(env, make_ctx(env), pool)
+    mgr = AttemptManager(env, make_job(env), pool)
     assert not mgr.enabled
     assert mgr.fault_stats() == {}
     attempt = mgr.claim_map("a")
@@ -51,8 +51,8 @@ def test_inert_manager_is_plain_pool_take():
 def test_failed_attempt_requeues_away_from_failed_vm():
     env = Environment()
     pool = TaskPool([make_task(0, "a")])
-    ctx = make_ctx(env, n_maps=1)
-    mgr = AttemptManager(env, ctx, pool, plan=FAILING, rng=RngStreams(0))
+    job = make_job(env, n_maps=1)
+    mgr = AttemptManager(env, job, pool, plan=FAILING, rng=RngStreams(0))
     attempt = mgr.claim_map("a")
     assert attempt.fail_at is not None  # prob 1.0 -> always fails
     assert attempt.should_abort(attempt.fail_at)
@@ -71,8 +71,8 @@ def test_failed_attempt_requeues_away_from_failed_vm():
 
 def test_final_attempt_never_draws_failure():
     env = Environment()
-    ctx = make_ctx(env, n_maps=1)
-    mgr = AttemptManager(env, ctx, TaskPool([]), plan=FAILING,
+    job = make_job(env, n_maps=1)
+    mgr = AttemptManager(env, job, TaskPool([]), plan=FAILING,
                          rng=RngStreams(0))
     # max_attempts=3: attempt numbers 0 and 1 fail (prob 1), number 2 must
     # be clean so the job can finish.
@@ -84,9 +84,9 @@ def test_final_attempt_never_draws_failure():
 def test_killed_attempt_loses_claim_and_does_not_requeue():
     env = Environment()
     pool = TaskPool([make_task(0, "a")])
-    ctx = make_ctx(env, n_maps=1)
+    job = make_job(env, n_maps=1)
     plan = FaultPlan(speculation=SpeculationConfig(enabled=True))
-    mgr = AttemptManager(env, ctx, pool, plan=plan, rng=RngStreams(0))
+    mgr = AttemptManager(env, job, pool, plan=plan, rng=RngStreams(0))
     attempt = mgr.claim_map("a")
     attempt.killed = True
     assert not mgr.claim_success(attempt)
@@ -96,9 +96,9 @@ def test_killed_attempt_loses_claim_and_does_not_requeue():
 def test_success_kills_rival_attempts():
     env = Environment()
     pool = TaskPool([make_task(0, "a")])
-    ctx = make_ctx(env, n_maps=1)
+    job = make_job(env, n_maps=1)
     plan = FaultPlan(speculation=SpeculationConfig(enabled=True))
-    mgr = AttemptManager(env, ctx, pool, plan=plan, rng=RngStreams(0))
+    mgr = AttemptManager(env, job, pool, plan=plan, rng=RngStreams(0))
     first = mgr.claim_map("a")
     # Force a speculative rival by hand.
     mgr._retry_queue.append((first.task, 1, True, "a"))
@@ -118,12 +118,12 @@ def test_straggler_monitor_launches_backup():
     env = Environment()
     tasks = [make_task(0, "a"), make_task(1, "b")]
     pool = TaskPool(tasks)
-    ctx = make_ctx(env, n_maps=2)
+    job = make_job(env, n_maps=2)
     plan = FaultPlan(speculation=SpeculationConfig(
         enabled=True, slowdown_threshold=1.5, min_finished_fraction=0.5,
         check_interval_s=2.0,
     ))
-    mgr = AttemptManager(env, ctx, pool, plan=plan, rng=RngStreams(0))
+    mgr = AttemptManager(env, job, pool, plan=plan, rng=RngStreams(0))
 
     def driver():
         fast = mgr.claim_map("a")
@@ -131,7 +131,7 @@ def test_straggler_monitor_launches_backup():
         yield env.timeout(1.0)
         assert mgr.claim_success(fast)
         mgr.map_attempt_done(fast)
-        ctx.maps_finished = 1
+        job.maps_finished = 1
         # The slow attempt keeps running well past 1.5x the mean (1s).
         yield env.timeout(9.0)
         return slow
@@ -151,8 +151,8 @@ def test_vm_crash_kills_and_rehomes():
     env = Environment()
     tasks = [make_task(0, "a"), make_task(1, "a")]
     pool = TaskPool(tasks)
-    ctx = make_ctx(env, n_maps=2)
-    mgr = AttemptManager(env, ctx, pool, plan=FAILING, rng=RngStreams(0))
+    job = make_job(env, n_maps=2)
+    mgr = AttemptManager(env, job, pool, plan=FAILING, rng=RngStreams(0))
     running = mgr.claim_map("a")  # task 0 runs on a; task 1 still queued
     mgr.on_vm_crashed("a")
     assert running.killed
@@ -174,8 +174,8 @@ def test_vm_crash_kills_and_rehomes():
 ], ids=["untagged", "tagged"])
 def test_reduce_retry_rotates_off_failed_vm(task):
     env = Environment()
-    ctx = make_ctx(env, vms=("a", "b", "c"))
-    mgr = AttemptManager(env, ctx, TaskPool([]), plan=FAILING,
+    job = make_job(env, vms=("a", "b", "c"))
+    mgr = AttemptManager(env, job, TaskPool([]), plan=FAILING,
                          rng=RngStreams(0))
     attempt = mgr.start_reduce(task)
     assert attempt is not None and attempt.number == 0
@@ -192,8 +192,8 @@ def test_reduce_retry_rotates_off_failed_vm(task):
 
 def test_reduce_attempts_on_crashed_vm_are_killed():
     env = Environment()
-    ctx = make_ctx(env)
-    mgr = AttemptManager(env, ctx, TaskPool([]), plan=FAILING,
+    job = make_job(env)
+    mgr = AttemptManager(env, job, TaskPool([]), plan=FAILING,
                          rng=RngStreams(0))
     attempt = mgr.start_reduce(ReduceTask(reducer_idx=0, vm_id="a"))
     mgr.on_vm_crashed("a")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import DiskFaults, FaultPlan
 from repro.hdfs import NameNode
 from repro.mapreduce import MB, JobConfig, MapReduceJob
 from repro.net import Topology
@@ -10,7 +11,8 @@ from repro.virt import ClusterConfig, VirtualCluster
 from repro.workloads import SORT, WORDCOUNT, WORDCOUNT_NO_COMBINER
 
 
-def run_job(spec, hosts=2, vms=2, data=32 * MB, seed=0, trace=None, **cfg_over):
+def run_job(spec, hosts=2, vms=2, data=32 * MB, seed=0, trace=None,
+            fault_plan=None, **cfg_over):
     env = Environment()
     cluster = VirtualCluster(env, ClusterConfig(hosts=hosts, vms_per_host=vms,
                                                 seed=seed))
@@ -21,7 +23,8 @@ def run_job(spec, hosts=2, vms=2, data=32 * MB, seed=0, trace=None, **cfg_over):
                        "sort_buffer_bytes": 12 * MB,
                        "shuffle_buffer_bytes": 16 * MB,
                        **cfg_over})
-    job = MapReduceJob(env, cluster, topo, nn, cfg, trace=trace)
+    job = MapReduceJob(env, cluster, topo, nn, cfg, trace=trace,
+                       fault_plan=fault_plan)
     proc = job.start()
     env.run(until=proc)
     return proc.value, cluster, env, job
@@ -96,6 +99,20 @@ def test_job_cannot_start_twice():
         job.start()
 
 
+def test_start_runs_the_injector_of_an_active_plan():
+    # The job itself starts the injector, so a job built directly (not
+    # through api.assemble_job) still sees its plan's disk episodes.
+    plan = FaultPlan(disk=DiskFaults(slow_interval_s=1.0, slow_factor=4.0,
+                                     slow_duration_s=0.5))
+    result, *_ = run_job(SORT, fault_plan=plan)
+    assert result.fault_stats["disk_slow_episodes"] > 0
+
+
+def test_start_builds_no_injector_for_an_inert_plan():
+    result, *_ = run_job(SORT, fault_plan=FaultPlan())
+    assert result.fault_stats == {}
+
+
 def test_trace_events_published():
     from repro.sim import TraceBus
 
@@ -147,18 +164,18 @@ def test_slowstart_zero_opens_reducer_gate_at_job_start():
     # because of the max(1, ...) floor; zero must mean zero.
     env, job, _ = _stepped_job(slowstart=0.0)
     env.run(until=env.timeout(1e-9))
-    assert job.ctx.slowstart_count() == 0
-    assert job.ctx.maps_finished == 0
-    assert job.ctx.reducers_may_start.triggered
+    assert job.slowstart_count() == 0
+    assert job.maps_finished == 0
+    assert job.reducers_may_start.triggered
 
 
 def test_slowstart_one_gates_reducers_on_the_last_map():
     env, job, proc = _stepped_job(slowstart=1.0)
-    assert job.ctx.slowstart_count() == job.ctx.n_maps
+    assert job.slowstart_count() == job.n_maps
     env.run(until=env.timeout(1e-9))
-    assert not job.ctx.reducers_may_start.triggered
+    assert not job.reducers_may_start.triggered
     env.run(until=proc)
-    assert job.ctx.reducers_may_start.triggered
+    assert job.reducers_may_start.triggered
     assert proc.value.duration > 0
 
 

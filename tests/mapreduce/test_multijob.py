@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.api import MultiJobScenario
+from repro.workloads import SizeClass
 from repro.mapreduce import JOB_SCHEDULERS, SwitchPlan, job_scheduler
 from repro.obs import capture
 from repro.obs.export import load_jsonl
@@ -212,6 +213,10 @@ def test_scenario_validation():
     (dict(workload="nope"), "nope"),
     (dict(hosts=0), "hosts"),
     (dict(bytes_per_vm=0), "bytes_per_vm"),
+    (dict(vms_per_host=1.5), "vms_per_host"),
+    (dict(n_jobs=1.5), "n_jobs"),
+    (dict(size_mix=(SizeClass("idle", 0.0, 1.0),)), "size-class weights"),
+    (dict(switch=("ad",)), "switch"),
 ])
 def test_scenario_rejects_at_construction(bad, named):
     # Each used to construct and fail only in to_spec() or the run.

@@ -93,9 +93,7 @@ class PerPageSsd(SsdDevice):
                 if invalid[old_block] == params.gc_min_invalid:
                     self._gc_candidates += 1
             if self._open is None or len(blocks[self._open]) == per_block:
-                self._open = self._alloc_block(during_gc)
-                blocks[self._open] = []
-                invalid[self._open] = 0
+                self._open_block(during_gc)
             block = self._open
             l2p[lpn] = block * per_block + len(blocks[block])
             blocks[block].append(lpn)
