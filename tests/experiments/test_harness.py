@@ -6,6 +6,8 @@ import pytest
 from repro.experiments import EXPERIMENTS, ExperimentResult, ShapeCheck
 from repro.experiments.base import ExperimentResult as BaseResult
 from repro.metrics import format_matrix, format_series, format_table
+from repro.runner import KINDS, SweepRunner
+from repro.runner.spec import spec_key
 
 
 def test_registry_covers_every_paper_artifact():
@@ -124,3 +126,36 @@ def test_env_scale_validation(monkeypatch):
     assert api.DEFAULT_SCALE == 0.5
     monkeypatch.delenv("REPRO_SCALE")
     importlib.reload(api)
+
+
+# -- every experiment lowers to runnable specs -------------------------------------
+
+
+class _FirstBatch(Exception):
+    """Raised by :class:`_BatchRecorder` once the first batch is seen."""
+
+
+class _BatchRecorder(SweepRunner):
+    """Records the first batch of specs and simulates nothing."""
+
+    def __init__(self):
+        super().__init__(jobs=1, use_cache=False)
+        self.batch = None
+
+    def run_specs(self, specs):
+        self.batch = list(specs)
+        raise _FirstBatch
+
+
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
+def test_every_experiment_builds_its_first_batch(exp_id):
+    # Config fields an experiment sets (ablation-mechanisms sets
+    # ClusterConfig.ring_slots) are reached only when it builds its
+    # specs; this builds them without running a simulation.
+    recorder = _BatchRecorder()
+    with pytest.raises(_FirstBatch):
+        EXPERIMENTS[exp_id](scale=0.05, seeds=(0,), sweep=recorder)
+    assert recorder.batch
+    for spec in recorder.batch:
+        assert spec.kind in KINDS
+        assert len(spec_key(spec)) == 64
