@@ -98,11 +98,7 @@ def _drive_chain(env, cluster, topology, jobs: Tuple[JobConfig, ...],
                 input_path=prev_output,
                 output_path=f"{job_config.output_path}_{idx}",
             )
-        namenode = NameNode(
-            cluster,
-            block_size=job_config.block_size,
-            replication=job_config.replication,
-        )
+        namenode = NameNode(cluster, block_size=job_config.block_size)
         namenode._files.update(carry_over)  # noqa: SLF001 - handoff
         job = MapReduceJob(env, cluster, topology, namenode, job_config,
                            trace=trace)

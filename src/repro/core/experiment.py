@@ -38,8 +38,14 @@ class TestbedConfig:
     def __post_init__(self) -> None:
         if self.job is None:
             raise ValueError("TestbedConfig requires a job config")
-        if self.n_phases not in (2, 3):
-            raise ValueError("n_phases must be 2 or 3")
+        # 2.0 == 2, so a float would pass a plain membership test and
+        # fail deep in the run (plan and phase-slice arithmetic).
+        n_phases = self.n_phases
+        if (isinstance(n_phases, bool) or not isinstance(n_phases, int)
+                or n_phases not in (2, 3)):
+            raise ValueError(
+                f"TestbedConfig.n_phases must be the int 2 or 3, got "
+                f"{n_phases!r}")
         if not self.seeds:
             raise ValueError("at least one seed required")
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List
 
+from ..disk.device import SWITCH_CONTROL_LATENCY
 from ..virt.pair import SchedulerPair
 from .config import CtrlConfig
 from .policies import ControllerPolicy, Observation
@@ -87,7 +88,7 @@ class OnlineAdaptiveController:
         measured Fig. 5 behaviour (switching under a deep queue stalls
         until in-flight requests complete).
         """
-        return (self.cluster.config.switch_control_latency
+        return (SWITCH_CONTROL_LATENCY
                 + self.queue_depth() * DRAIN_COST_PER_REQUEST)
 
     # -- the decision loop --------------------------------------------------------

@@ -1,18 +1,16 @@
 """Block-storage substrate: requests, geometry, timing, pluggable devices.
 
-Backends (HDD spindle, FTL SSD, hybrid) are picked by name through the
-:mod:`repro.disk.backend` registry.
+Backends (HDD spindle, FTL SSD, hybrid) are picked by name through
+:func:`repro.disk.backend.make_device`.
 """
 
 from .backend import (
-    StorageBackend,
-    StorageParams,
+    STORAGE_NAMES,
     UnknownStorageError,
     make_device,
     resolve_storage,
-    storage_names,
 )
-from .device import DiskDevice
+from .device import SWITCH_CONTROL_LATENCY, DiskDevice
 from .geometry import DiskGeometry
 from .model import DiskParameters, ServiceBreakdown, ServiceTimeModel
 from .request import SECTOR_SIZE, BlockRequest, IoOp
@@ -21,6 +19,8 @@ from .stats import DeviceStats
 
 __all__ = [
     "SECTOR_SIZE",
+    "STORAGE_NAMES",
+    "SWITCH_CONTROL_LATENCY",
     "BlockRequest",
     "DeviceStats",
     "DiskDevice",
@@ -31,10 +31,7 @@ __all__ = [
     "ServiceTimeModel",
     "SsdDevice",
     "SsdParameters",
-    "StorageBackend",
-    "StorageParams",
     "UnknownStorageError",
     "make_device",
     "resolve_storage",
-    "storage_names",
 ]

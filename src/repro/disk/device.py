@@ -34,6 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ElevatorQueue", "DiskDevice"]
 
+#: Fixed control-plane latency of one sysfs elevator write (seconds).
+SWITCH_CONTROL_LATENCY = 0.050
+
 
 class ElevatorQueue(abc.ABC):
     """Shared queue machinery: submit, dispatch loop, hot switch."""
@@ -48,14 +51,11 @@ class ElevatorQueue(abc.ABC):
         scheduler: IOScheduler,
         name: str,
         trace: Optional["TraceBus"] = None,
-        switch_control_latency: float = 0.050,
     ):
         self.env = env
         self.scheduler = scheduler
         self.name = name
         self.trace = trace
-        #: Fixed control-plane latency of one sysfs elevator write.
-        self.switch_control_latency = switch_control_latency
 
         #: The dispatch FIFO of a switch: the old elevator's drained
         #: requests in its policy order, then arrivals during the switch,
@@ -181,7 +181,7 @@ class ElevatorQueue(abc.ABC):
         self.switch_count += 1
         start = self.env.now
         # sysfs write + elevator teardown bookkeeping.
-        yield self.env.timeout(self.switch_control_latency)
+        yield self.env.timeout(SWITCH_CONTROL_LATENCY)
 
         # Drain: the old elevator's queue empties onto the FIFO list in
         # the old policy's dispatch order.
@@ -330,7 +330,6 @@ class DiskDevice(ElevatorQueue):
         name: str = "sda",
         trace: Optional["TraceBus"] = None,
         stats: Optional[DeviceStats] = None,
-        switch_control_latency: float = 0.050,
     ):
         self.model = model
         self.stats = stats or DeviceStats()
@@ -340,7 +339,7 @@ class DiskDevice(ElevatorQueue):
         #: leave modelled service times bit-identical.
         self.service_scale = 1.0
         self.extra_latency = 0.0
-        super().__init__(env, scheduler, name, trace, switch_control_latency)
+        super().__init__(env, scheduler, name, trace)
 
     # -- ElevatorQueue hooks -----------------------------------------------------
     def _outstanding(self) -> int:

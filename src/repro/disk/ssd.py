@@ -132,7 +132,6 @@ class SsdDevice(ElevatorQueue):
         name: str = "nvme0",
         trace: Optional["TraceBus"] = None,
         stats: Optional[DeviceStats] = None,
-        switch_control_latency: float = 0.050,
     ):
         self.params = params or SsdParameters()
         self.stats = stats or DeviceStats()
@@ -170,7 +169,7 @@ class SsdDevice(ElevatorQueue):
         self.cache_coalesced = 0  # re-dirtied pages absorbed in cache
         self.cache_read_hits = 0
 
-        super().__init__(env, scheduler, name, trace, switch_control_latency)
+        super().__init__(env, scheduler, name, trace)
 
         #: per NAND channel: time its last booked operation finishes
         self._chan_busy: List[float] = [0.0] * self.params.channels

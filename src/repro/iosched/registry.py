@@ -83,16 +83,11 @@ def abbrev(name: str) -> str:
     return ABBREVIATIONS[resolve_name(name)]
 
 
-def make_scheduler(name: str, **kwargs) -> IOScheduler:
+def make_scheduler(name: str) -> IOScheduler:
     """Instantiate a scheduler by (possibly abbreviated) name."""
-    return SCHEDULERS[resolve_name(name)](**kwargs)
+    return SCHEDULERS[resolve_name(name)]()
 
 
-def scheduler_factory(name: str, **kwargs) -> Callable[[], IOScheduler]:
+def scheduler_factory(name: str) -> Callable[[], IOScheduler]:
     """A zero-argument factory, handy for device construction."""
-    canonical = resolve_name(name)
-
-    def factory() -> IOScheduler:
-        return SCHEDULERS[canonical](**kwargs)
-
-    return factory
+    return SCHEDULERS[resolve_name(name)]

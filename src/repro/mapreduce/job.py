@@ -8,6 +8,17 @@ __all__ = ["JobSpec", "JobConfig", "MB"]
 
 MB = 1024 * 1024
 
+#: Fill fraction of the sort buffer (io.sort.mb) that triggers a spill.
+SPILL_THRESHOLD = 0.8
+#: Concurrent shuffle fetches per reducer (mapred.reduce.parallel.copies).
+MAX_PARALLEL_FETCHES = 5
+#: Granularity at which map tasks interleave input reads and map CPU.
+IO_CHUNK_BYTES = 4 * MB
+#: Relative jitter applied to every task CPU burst (seeded).  Real
+#: tasks never take identical time; without jitter the 32 reducers run
+#: in artificial lockstep and convoy effects dominate.
+CPU_NOISE = 0.10
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -66,36 +77,30 @@ class JobConfig:
     #: tasks" per single-core VM in the paper).
     map_slots: int = 2
     reducers_per_vm: int = 2
-    replication: int = 2
-    #: io.sort.mb and the spill threshold.
+    #: io.sort.mb.
     sort_buffer_bytes: int = 100 * MB
-    spill_threshold: float = 0.8
     #: Reduce-side in-memory shuffle buffer before spilling to disk.
     shuffle_buffer_bytes: int = 128 * MB
-    #: mapred.reduce.parallel.copies.
-    max_parallel_fetches: int = 5
-    #: Granularity at which tasks interleave I/O and CPU.
-    io_chunk_bytes: int = 4 * MB
     #: Fraction of maps finished before reducers launch.
     slowstart: float = 0.05
-    #: Relative jitter applied to every task CPU burst (seeded).  Real
-    #: tasks never take identical time; without jitter the 32 reducers
-    #: run in artificial lockstep and convoy effects dominate.
-    cpu_noise: float = 0.10
     input_path: str = "input"
     output_path: str = "output"
 
     def __post_init__(self) -> None:
-        if self.bytes_per_vm <= 0 or self.block_size <= 0:
-            raise ValueError("sizes must be positive")
-        if self.map_slots <= 0 or self.reducers_per_vm <= 0:
-            raise ValueError("slot counts must be positive")
-        if not 0 < self.spill_threshold <= 1:
-            raise ValueError("spill_threshold must be in (0, 1]")
+        # A float or bool count would fail deep in the run (slot and
+        # reducer loops, list repetition) or silently act as 1.
+        for name in ("bytes_per_vm", "block_size", "map_slots",
+                     "reducers_per_vm", "sort_buffer_bytes",
+                     "shuffle_buffer_bytes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"JobConfig.{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(
+                    f"JobConfig.{name} must be >= 1, got {value}")
         if not 0 <= self.slowstart <= 1:
             raise ValueError("slowstart must be in [0, 1]")
-        if not 0 <= self.cpu_noise < 1:
-            raise ValueError("cpu_noise must be in [0, 1)")
 
     def with_(self, **changes) -> "JobConfig":
         return replace(self, **changes)

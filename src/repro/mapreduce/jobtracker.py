@@ -13,7 +13,7 @@ from ..hdfs.datanode import DataNodeService
 from ..hdfs.namenode import NameNode
 from ..sim.events import Event
 from .attempts import AttemptManager
-from .job import JobConfig
+from .job import CPU_NOISE, JobConfig
 from .map_task import MapTask
 from .phases import JobResult, PhaseTimes
 from .reduce_task import ReduceTask
@@ -252,9 +252,9 @@ class MapReduceJob:
 
     def compute(self, vm, seconds: float, label: Any = None):
         """Submit jittered CPU work on ``vm`` (lockstep breaker)."""
-        noise = self.config.cpu_noise
-        if noise > 0 and self.rng is not None and seconds > 0:
-            seconds *= float(self.rng.uniform(1.0 - noise, 1.0 + noise))
+        if seconds > 0:
+            seconds *= float(
+                self.rng.uniform(1.0 - CPU_NOISE, 1.0 + CPU_NOISE))
         return vm.compute(seconds, label)
 
     def on_map_finished(self, task: MapTask) -> None:

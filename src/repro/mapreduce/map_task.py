@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from ..hdfs.blocks import HdfsBlock
 from ..virt.fs import GuestFile
-from .job import MB
+from .job import IO_CHUNK_BYTES, MB, SPILL_THRESHOLD
 from .shuffle import MapOutput
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,14 +50,13 @@ def map_task_proc(job: "MapReduceJob", task: "MapTask",
     sharing a VM never collide.
     """
     spec = job.config.spec
-    cfg = job.config
     vm = job.cluster.vm(task.vm_id)
     pid = f"map{task.task_id}@{task.vm_id}"
     block = task.block
     # Attempt 0 keeps the historical names (bit-identical fault-free runs).
     suffix = "" if attempt is None or attempt.number == 0 else f".a{attempt.number}"
 
-    buffer_limit = cfg.sort_buffer_bytes * cfg.spill_threshold
+    buffer_limit = job.config.sort_buffer_bytes * SPILL_THRESHOLD
     buffered_raw = 0.0
     spills: List[GuestFile] = []
     spill_bytes: List[float] = []
@@ -90,7 +89,7 @@ def map_task_proc(job: "MapReduceJob", task: "MapTask",
     while pos < block.size_bytes:
         if aborted(0.8 * pos / block.size_bytes):
             return None
-        chunk = min(cfg.io_chunk_bytes, block.size_bytes - pos)
+        chunk = min(IO_CHUNK_BYTES, block.size_bytes - pos)
         yield from job.dn.read_block(block, task.vm_id, pid, pos, chunk)
         if spec.map_cpu_s_per_mb > 0:
             yield job.compute(vm, spec.map_cpu_s_per_mb * chunk / MB, pid)

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, List, Optional
 from ..sim.events import AllOf
 from ..sim.resources import Resource
 from ..virt.fs import GuestFile
-from .job import MB
+from .job import MAX_PARALLEL_FETCHES, MB
 from .shuffle import MapOutput
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,7 +39,7 @@ def reduce_task_proc(job: "MapReduceJob", task: "ReduceTask",
 
     1. **Shuffle** (overlaps the map phase): pull this reducer's
        partition from every map output as it appears, up to
-       ``max_parallel_fetches`` at a time; buffer in memory and spill to
+       ``MAX_PARALLEL_FETCHES`` at a time; buffer in memory and spill to
        local disk (async writes) when the shuffle buffer fills.
     2. **Merge**: read the spills back (sync reads) and merge-sort.
     3. **Reduce + output**: reduce CPU interleaved with the replicated
@@ -62,7 +62,7 @@ def reduce_task_proc(job: "MapReduceJob", task: "ReduceTask",
     queue = job.shuffle.queues[task.reducer_idx]
     suffix = "" if attempt is None or attempt.number == 0 else f".a{attempt.number}"
 
-    fetch_slots = Resource(job.env, capacity=cfg.max_parallel_fetches)
+    fetch_slots = Resource(job.env, capacity=MAX_PARALLEL_FETCHES)
     mem_buffered = 0.0
     total_input = 0.0
     spills: List[GuestFile] = []

@@ -5,16 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..disk.backend import StorageParams
-from ..disk.geometry import DiskGeometry
-from ..disk.model import DiskParameters
-from ..disk.ssd import SsdParameters
 from ..iosched.registry import scheduler_factory
 from ..sim.events import AllOf, Event
 from ..sim.rng import RngStreams
 from .hypervisor import PhysicalHost
 from .pagecache import PageCacheParams
 from .pair import DEFAULT_PAIR, SchedulerPair
+from .vdisk import DEFAULT_RING_SLOTS
 from .vm import VM
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,20 +32,14 @@ class ClusterConfig:
     hosts: int = 4
     vms_per_host: int = 4
     initial_pair: SchedulerPair = DEFAULT_PAIR
-    #: Storage-backend name for every host (``repro.disk.backend``
-    #: registry: hdd/ssd/hybrid).  Carried as a plain string — it is
+    #: Storage-backend name for every host (``repro.disk.backend``:
+    #: hdd/ssd/hybrid).  Carried as a plain string — it is
     #: resolved only at build time, never during spec canonicalisation,
     #: so the config stays a pure cache-key ingredient.
     storage: str = "hdd"
-    geometry: DiskGeometry = field(default_factory=DiskGeometry)
-    disk_params: DiskParameters = field(default_factory=DiskParameters)
-    ssd: SsdParameters = field(default_factory=SsdParameters)
     pagecache: PageCacheParams = field(default_factory=PageCacheParams)
-    #: Seconds of work per second: 1 VCPU pinned to one core.
-    vm_cpu_capacity: float = 1.0
-    fs_fragmentation: float = 0.02
-    ring_slots: int = 32
-    switch_control_latency: float = 0.050
+    #: blkfront ring depth per VM (the ring ablation starves it).
+    ring_slots: int = DEFAULT_RING_SLOTS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -96,23 +87,15 @@ class VirtualCluster:
                 vmm_scheduler_factory=scheduler_factory(cfg.initial_pair.vmm),
                 max_vms=cfg.vms_per_host,
                 storage=cfg.storage,
-                storage_params=StorageParams(
-                    geometry=cfg.geometry,
-                    disk_params=cfg.disk_params,
-                    ssd=cfg.ssd,
-                    host_index=h,
-                ),
+                host_index=h,
                 rng=self.rng.stream(f"h{h}.disk"),
                 trace=self.trace,
-                switch_control_latency=cfg.switch_control_latency,
             )
             for v in range(cfg.vms_per_host):
                 host.add_vm(
                     vm_id=f"h{h}v{v}",
                     guest_scheduler_factory=scheduler_factory(cfg.initial_pair.vm),
-                    cpu_capacity=cfg.vm_cpu_capacity,
                     pagecache_params=cfg.pagecache,
-                    fs_fragmentation=cfg.fs_fragmentation,
                     rng=self.rng.stream(f"h{h}v{v}.fs"),
                     ring_slots=cfg.ring_slots,
                 )

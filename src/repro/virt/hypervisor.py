@@ -6,11 +6,14 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
-from ..disk.backend import StorageParams, make_device
+from ..disk.backend import make_device
+from ..disk.geometry import DiskGeometry
 from ..iosched.base import IOScheduler
 from ..iosched.registry import scheduler_factory
 from ..sim.events import AllOf, Event
+from .pagecache import PageCacheParams
 from .pair import SchedulerPair
+from .vdisk import DEFAULT_RING_SLOTS
 from .vm import VM
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,9 +30,9 @@ class PhysicalHost:
     spread across the address space so cross-VM arbitration costs real
     seeks (on spindles) or real channel contention (on flash).
 
-    The device itself is resolved by name through the
-    :mod:`repro.disk.backend` registry (``storage=`` + a
-    :class:`~repro.disk.backend.StorageParams` bundle).
+    The device itself is built by name through
+    :func:`~repro.disk.backend.make_device` (``storage=`` plus the
+    host's ``host_index``, which ``hybrid`` alternates on).
     """
 
     def __init__(
@@ -39,28 +42,26 @@ class PhysicalHost:
         vmm_scheduler_factory: Callable[[], IOScheduler],
         max_vms: int,
         storage: str = "hdd",
-        storage_params: Optional[StorageParams] = None,
+        host_index: int = 0,
         rng: Optional[np.random.Generator] = None,
         trace: Optional["TraceBus"] = None,
-        switch_control_latency: float = 0.050,
     ):
         if max_vms <= 0:
             raise ValueError("max_vms must be positive")
-        params = storage_params or StorageParams()
         self.env = env
         self.name = name
         self.max_vms = max_vms
-        self.geometry = params.geometry
+        #: The 1 TB platter the VM images are striped across.
+        self.geometry = DiskGeometry()
         self.trace = trace
         self.disk = make_device(
             storage,
             env,
-            params,
+            host_index,
             rng,
             scheduler=vmm_scheduler_factory(),
             name=f"{name}.sda",
             trace=trace,
-            switch_control_latency=switch_control_latency,
         )
         self.vms: List[VM] = []
         #: Filled in by the network topology when attached.
@@ -75,7 +76,10 @@ class PhysicalHost:
         vm_id: str,
         guest_scheduler_factory: Callable[[], IOScheduler],
         image_sectors: Optional[int] = None,
-        **vm_kwargs,
+        *,
+        pagecache_params: Optional[PageCacheParams] = None,
+        rng: Optional[np.random.Generator] = None,
+        ring_slots: int = DEFAULT_RING_SLOTS,
     ) -> VM:
         """Create a VM; its image is placed in the host's next stripe.
 
@@ -99,8 +103,10 @@ class PhysicalHost:
             image_offset_sectors=index * stripe,
             image_sectors=image_sectors,
             guest_scheduler_factory=guest_scheduler_factory,
+            pagecache_params=pagecache_params,
+            rng=rng,
             trace=self.trace,
-            **vm_kwargs,
+            ring_slots=ring_slots,
         )
         vm.host_name = self.name
         self.vms.append(vm)

@@ -32,10 +32,24 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["PageCache", "PageCacheParams"]
 
+#: Cache/dirty tracking granularity.
+CHUNK_BYTES = 1024 * 1024
+#: Largest read issued by readahead and largest write issued by the
+#: flusher.
+REQUEST_BYTES = 512 * 1024
+_REQUEST_SECTORS = REQUEST_BYTES // SECTOR_SIZE
+#: Periodic flusher wakeup (pdflush's 5 s default).
+WRITEBACK_INTERVAL = 5.0
+#: Max flusher requests in flight before it throttles itself.  Small
+#: values pace the flusher against device completions, interleaving
+#: the VMs' writeback streams at the hypervisor like real pdflush
+#: (each unplug dispatches a few requests, then waits).
+WRITEBACK_INFLIGHT = 4
+
 
 @dataclass(frozen=True)
 class PageCacheParams:
-    """Sizing and policy knobs (defaults ≈ a 1 GB RHEL5 guest)."""
+    """Sizing knobs (defaults ≈ a 1 GB RHEL5 guest)."""
 
     #: Total cache capacity in bytes (~60% of a 1 GB guest).
     capacity_bytes: int = 600 * 1024 * 1024
@@ -43,28 +57,12 @@ class PageCacheParams:
     dirty_background_bytes: int = 32 * 1024 * 1024
     #: Throttle writers beyond this many dirty bytes.
     dirty_limit_bytes: int = 128 * 1024 * 1024
-    #: Cache/dirty tracking granularity.
-    chunk_bytes: int = 1024 * 1024
-    #: Largest read issued by readahead.
-    read_request_bytes: int = 512 * 1024
-    #: Largest write issued by the flusher.
-    write_request_bytes: int = 512 * 1024
-    #: Periodic flusher wakeup (pdflush's 5 s default).
-    writeback_interval: float = 5.0
-    #: Max flusher requests in flight before it throttles itself.  Small
-    #: values pace the flusher against device completions, interleaving
-    #: the VMs' writeback streams at the hypervisor like real pdflush
-    #: (each unplug dispatches a few requests, then waits).
-    writeback_inflight: int = 4
 
     def __post_init__(self) -> None:
         if min(
             self.capacity_bytes,
             self.dirty_background_bytes,
             self.dirty_limit_bytes,
-            self.chunk_bytes,
-            self.read_request_bytes,
-            self.write_request_bytes,
         ) <= 0:
             raise ValueError("all sizes must be positive")
         if self.dirty_limit_bytes < self.dirty_background_bytes:
@@ -85,6 +83,7 @@ class PageCache:
         self.vdisk = vdisk
         self.params = params or PageCacheParams()
         self.name = name
+        self._max_chunks = max(1, self.params.capacity_bytes // CHUNK_BYTES)
         #: (file_name, chunk_idx) -> dirty flag; OrderedDict as LRU.
         self._resident: "OrderedDict[Tuple[str, int], bool]" = OrderedDict()
         #: Dirty chunks in dirtying order; maps key -> GuestFile.
@@ -102,16 +101,12 @@ class PageCache:
 
     # -- sizing ------------------------------------------------------------------
     @property
-    def _max_chunks(self) -> int:
-        return max(1, self.params.capacity_bytes // self.params.chunk_bytes)
-
-    @property
     def dirty_bytes(self) -> int:
-        return len(self._dirty) * self.params.chunk_bytes
+        return len(self._dirty) * CHUNK_BYTES
 
     @property
     def resident_bytes(self) -> int:
-        return len(self._resident) * self.params.chunk_bytes
+        return len(self._resident) * CHUNK_BYTES
 
     # -- public API: all methods are process generators ----------------------------
     def read(self, file: GuestFile, offset: int, length: int, pid: Any):
@@ -119,9 +114,8 @@ class PageCache:
         self._check_range(file, offset, length)
         if length == 0:
             return
-        chunk = self.params.chunk_bytes
-        first = offset // chunk
-        last = (offset + length - 1) // chunk
+        first = offset // CHUNK_BYTES
+        last = (offset + length - 1) // CHUNK_BYTES
         run_start: Optional[int] = None
         for idx in range(first, last + 1):
             key = (file.name, idx)
@@ -144,9 +138,8 @@ class PageCache:
         self._check_range(file, offset, length)
         if length == 0:
             return
-        chunk = self.params.chunk_bytes
-        first = offset // chunk
-        last = (offset + length - 1) // chunk
+        first = offset // CHUNK_BYTES
+        last = (offset + length - 1) // CHUNK_BYTES
 
         if sync:
             events = []
@@ -208,20 +201,18 @@ class PageCache:
             )
 
     def _chunk_span(self, file: GuestFile, idx: int) -> Tuple[int, int]:
-        chunk = self.params.chunk_bytes
-        off = idx * chunk
-        return off, min(chunk, file.size_bytes - off)
+        off = idx * CHUNK_BYTES
+        return off, min(CHUNK_BYTES, file.size_bytes - off)
 
     def _read_chunks(self, file: GuestFile, first: int, last: int, pid: Any):
         """Issue sync reads for chunks [first, last]; block per window."""
         off, _ = self._chunk_span(file, first)
         end_off = self._chunk_span(file, last)[0] + self._chunk_span(file, last)[1]
         length = end_off - off
-        window = self.params.read_request_bytes
         for lba, nsectors in file.ranges(off, length):
             pos = 0
             while pos < nsectors:
-                take = min(nsectors - pos, window // SECTOR_SIZE)
+                take = min(nsectors - pos, _REQUEST_SECTORS)
                 req = BlockRequest(lba + pos, take, IoOp.READ, pid, sync=True)
                 done = self.vdisk.submit(req)
                 self.bytes_read_disk += take * SECTOR_SIZE
@@ -236,13 +227,11 @@ class PageCache:
         off, length = self._chunk_span(file, idx)
         if length <= 0:
             return []
-        window = self.params.write_request_bytes if op is IoOp.WRITE else self.params.read_request_bytes
-        window_sectors = window // SECTOR_SIZE
         events = []
         for lba, nsectors in file.ranges(off, length):
             pos = 0
             while pos < nsectors:
-                take = min(nsectors - pos, window_sectors)
+                take = min(nsectors - pos, _REQUEST_SECTORS)
                 req = BlockRequest(lba + pos, take, op, pid, sync=sync)
                 events.append(self.vdisk.submit(req))
                 if op is IoOp.WRITE:
@@ -291,7 +280,7 @@ class PageCache:
             if self._dirty:
                 # Periodic flush while dirty data exists; pure event-wait
                 # otherwise so an idle simulation can run to completion.
-                timer = env.timeout(self.params.writeback_interval)
+                timer = env.timeout(WRITEBACK_INTERVAL)
                 yield AnyOf(env, [self._wb_kick, timer])
                 periodic = timer.processed and not self._wb_kick.triggered
             else:
@@ -309,7 +298,7 @@ class PageCache:
                 self._flush_chunk_async(file, key[1])
                 self._wake_throttled()
                 # Self-throttle: bound flusher requests in flight.
-                while len(self._wb_inflight) > self.params.writeback_inflight:
+                while len(self._wb_inflight) > WRITEBACK_INFLIGHT:
                     done = self._wb_inflight.popleft()
                     if not done.processed:
                         yield done

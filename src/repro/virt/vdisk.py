@@ -45,7 +45,6 @@ class VirtualBlockDevice(ElevatorQueue):
         name: Optional[str] = None,
         trace: Optional["TraceBus"] = None,
         stats: Optional[DeviceStats] = None,
-        switch_control_latency: float = 0.050,
     ):
         if ring_slots <= 0:
             raise ValueError("ring_slots must be positive")
@@ -58,13 +57,7 @@ class VirtualBlockDevice(ElevatorQueue):
         self.ring_slots = ring_slots
         self.stats = stats or DeviceStats()
         self._in_ring = 0
-        super().__init__(
-            env,
-            scheduler,
-            name or f"xvda@{vm_id}",
-            trace,
-            switch_control_latency,
-        )
+        super().__init__(env, scheduler, name or f"xvda@{vm_id}", trace)
 
     # -- ElevatorQueue hooks ------------------------------------------------------
     def _outstanding(self) -> int:

@@ -21,6 +21,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["VM"]
 
+#: Chance the guest filesystem splits a large allocation: aged ext3
+#: images are not perfectly contiguous, so long spills cost a few seeks.
+FS_FRAGMENTATION = 0.02
+
 
 class VM:
     """One DomU with a single vCPU and one virtual disk.
@@ -38,9 +42,7 @@ class VM:
         image_offset_sectors: int,
         image_sectors: int,
         guest_scheduler_factory: Callable[[], IOScheduler],
-        cpu_capacity: float = 1.0,
         pagecache_params: Optional[PageCacheParams] = None,
-        fs_fragmentation: float = 0.02,
         rng: Optional[np.random.Generator] = None,
         trace: Optional["TraceBus"] = None,
         ring_slots: int = DEFAULT_RING_SLOTS,
@@ -63,10 +65,10 @@ class VM:
             trace=trace,
             ring_slots=ring_slots,
         )
-        self.cpu = ProcessorSharingCPU(env, cpu_capacity, name=f"cpu@{vm_id}")
+        self.cpu = ProcessorSharingCPU(env, name=f"cpu@{vm_id}")
         self.fs = GuestFilesystem(
             image_sectors,
-            fragmentation=fs_fragmentation,
+            fragmentation=FS_FRAGMENTATION,
             rng=rng or fallback_rng(),
         )
         self.cache = PageCache(

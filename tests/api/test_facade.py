@@ -25,6 +25,7 @@ from repro.api import (
     sweep,
 )
 from repro.core.solution import Solution
+from repro.mapreduce import MB
 from repro.runner.adapter import SweepJobRunner
 from repro.runner.kinds import encode_job_result, execute_spec, _reset_run_ids
 from repro.runner.spec import spec_key
@@ -118,6 +119,8 @@ BAD_FACADE_FIELDS = [
     (dict(bytes_per_vm=-5), "bytes_per_vm"),
     (dict(hosts=1.5), "hosts"),
     (dict(vms_per_host=2.5), "vms_per_host"),
+    (dict(n_phases=2.0), "n_phases"),
+    (dict(bytes_per_vm=3.5 * MB), "bytes_per_vm"),
 ]
 
 

@@ -13,9 +13,9 @@ import json
 
 import pytest
 
-from repro.api import assemble_job, scaled_testbed
+from repro.api import assemble_cluster, assemble_job, scaled_testbed
 from repro.core.solution import Solution
-from repro.ctrl import BOUNDARY_NAMES, CtrlConfig
+from repro.ctrl import BOUNDARY_NAMES, CtrlConfig, OnlineAdaptiveController
 from repro.ctrl.policies import (
     BanditPolicy,
     GreedyPolicy,
@@ -25,6 +25,7 @@ from repro.ctrl.policies import (
     policy_names,
     resolve_policy,
 )
+from repro.disk import SWITCH_CONTROL_LATENCY
 from repro.obs.metrics import TraceMetrics
 from repro.runner import RunSpec, SweepRunner, execute_spec
 from repro.sim.tracing import TraceBus
@@ -195,6 +196,26 @@ def test_device_counts_equal_the_trace_queue_depth_gauges(storage):
     assert mismatches == []
     assert checked[0] > 0
     assert cluster.current_pair.label == "ad"
+
+
+@pytest.mark.parametrize("storage", ["hdd", "ssd"])
+def test_idle_switch_cost_estimate_equals_an_idle_switch_stall(storage):
+    """With nothing queued the estimate is the control latency alone,
+    which is exactly what a cluster-wide switch on an idle cluster
+    stalls (every device pays it concurrently, with nothing to drain)."""
+    testbed = scaled_testbed(SORT, scale=0.05, hosts=2, vms_per_host=2,
+                             storage=storage)
+    job = assemble_job(testbed.cluster, testbed.job, seed=0)
+    job.start()  # no I/O is submitted before the clock runs
+    ctrl = CtrlConfig(policy="greedy", initial="cc", phase_pairs=("cc", "ad"))
+    controller = OnlineAdaptiveController(job, make_policy(ctrl), ctrl)
+    assert controller.queue_depth() == 0.0
+    estimate = controller.estimate_switch_cost()
+
+    env, cluster = assemble_cluster(testbed.cluster, seed=0)
+    done = cluster.set_pair(SchedulerPair.parse("ad"))
+    env.run(until=done)
+    assert estimate == env.now == SWITCH_CONTROL_LATENCY
 
 
 # -- determinism across execution paths ----------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.disk import (
+    SWITCH_CONTROL_LATENCY,
     BlockRequest,
     DiskDevice,
     DiskGeometry,
@@ -115,7 +116,7 @@ def test_switch_scheduler_installs_new_elevator():
     env.run(until=done)
     assert isinstance(dev.scheduler, DeadlineScheduler)
     assert dev.switch_count == 1
-    assert done.value >= dev.switch_control_latency
+    assert done.value >= SWITCH_CONTROL_LATENCY
 
 
 def test_switch_under_load_drains_backlog_first():
@@ -156,7 +157,7 @@ def test_same_to_same_switch_still_pays():
         dev.submit(req(i * 100_000_000, 256))
     done = dev.switch_scheduler(scheduler_factory("deadline"))
     env.run(until=done)
-    assert done.value > dev.switch_control_latency
+    assert done.value > SWITCH_CONTROL_LATENCY
 
 
 def test_concurrent_switches_serialize():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.disk import SWITCH_CONTROL_LATENCY
 from repro.iosched import scheduler_factory
 from repro.mapreduce import MB
 from repro.sim import Environment
@@ -74,4 +75,4 @@ def test_set_pair_fires_switches_concurrently():
     env.run(until=done)
     # On an idle host every switch costs just the control latency; the
     # parallel round completes in ~one latency, not three.
-    assert env.now < host.disk.switch_control_latency * 2.5
+    assert env.now < SWITCH_CONTROL_LATENCY * 2.5
