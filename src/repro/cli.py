@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_storage,
         default=None,
         metavar="BACKEND",
-        help="storage backend for experiments that take one (registry "
-        "names: hdd/ssd/hybrid; currently fig-ssd restricts its "
+        help="storage backend for experiments that take one "
+        "(hdd/ssd/hybrid; currently fig-ssd restricts its "
         "comparison; other figures model the paper's SATA spindles)",
     )
     parser.add_argument(
