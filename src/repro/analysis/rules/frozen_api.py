@@ -127,10 +127,17 @@ class FrozenDataclassRule(Rule):
                "frozen/slotted dataclass instances outside their "
                "defining module")
 
-    def check_module(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        # One pass over every module finds the guarded classes; checking
+        # each module from there keeps the lint linear in the tree.
         guarded = _guarded_classes(project)
         if not guarded:
             return
+        for module in project.modules:
+            yield from self._check_module(module, guarded)
+
+    def _check_module(self, module: ModuleInfo,
+                      guarded: Dict[str, str]) -> Iterator[Finding]:
         imports = ImportMap(module)
         scopes: List[Tuple[ast.AST, Optional[str]]] = [(module.tree, None)]
         for node in ast.walk(module.tree):

@@ -20,11 +20,14 @@ fault injection — works unchanged.  What changes is the service path:
 * page reads/programs queue FIFO on the owning NAND channel
   (channel = physical block id mod ``channels``), kept as a busy-until
   time: booking is arithmetic; only a waited-on read schedules a wake-up,
+* the mapping is kept in extents: the L2P is a sorted list of
+  ``(lpn, ppn, length)`` runs and the P2L one array over physical
+  pages, so memory grows with extents and blocks, not with pages,
 * pages are placed and booked in runs: a flush fills the open block's
-  free slots a run at a time, and a read books each run of consecutive
-  pages on one channel at once,
+  free slots a run at a time, and a read books each channel once,
 * writes complete at cache latency and are flushed after a coalescing
-  delay by a background writeback process,
+  delay by a background writeback process; one event per flush resumes
+  the writers the full cache blocked,
 * allocation failure triggers greedy GC: the sealed block with the
   most invalid pages is relocated and erased.
 
@@ -39,9 +42,13 @@ channel occupancy) are registered in :mod:`repro.obs.topics`.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
+from operator import itemgetter
+from typing import (TYPE_CHECKING, Deque, Dict, Iterator, List, Optional,
+                    Tuple)
 
 from ..iosched.base import IOScheduler
 from ..sim.events import Event, Timeout
@@ -54,6 +61,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.tracing import TraceBus
 
 __all__ = ["SsdParameters", "SsdDevice"]
+
+#: An L2P extent: logical pages ``lpn .. lpn + length - 1`` live on
+#: physical pages ``ppn .. ppn + length - 1``.
+Extent = Tuple[int, int, int]
+_LPN = itemgetter(0)
+
+
+def _stretches(pages: List[int]) -> List[Tuple[int, int]]:
+    """``(first, count)`` of each run of consecutive pages, in order."""
+    if not pages:
+        return []
+    first = pages[0]
+    # The sequential case is the common one; the comparison runs in C.
+    if pages == list(range(first, first + len(pages))):
+        return [(first, len(pages))]
+    out = []
+    count = 1
+    for page in pages[1:]:
+        if page == first + count:
+            count += 1
+        else:
+            out.append((first, count))
+            first, count = page, 1
+    out.append((first, count))
+    return out
 
 
 @dataclass(frozen=True)
@@ -140,23 +172,29 @@ class SsdDevice(ElevatorQueue):
         self.extra_latency = 0.0
         self._in_flight = 0
 
-        # -- FTL state (all plain dicts/deques: deterministic iteration) --
-        #: logical page -> physical page (block id * pages_per_block + slot)
-        self._l2p: Dict[int, int] = {}
-        #: block id -> logical page per programmed slot, None once invalid
-        self._blocks: Dict[int, List[Optional[int]]] = {}
-        #: block id -> count of invalidated (overwritten/moved) slots
+        # -- FTL state (all plain lists/dicts: deterministic iteration) --
+        #: L2P: non-overlapping extents sorted by logical page; a
+        #: physical page number is block id * pages_per_block + slot
+        self._l2p: List[Extent] = []
+        #: P2L: physical page -> its logical page, -1 once invalidated
+        #: (and before it is programmed); grows a block at a time
+        self._p2l = array("q")
+        #: block id -> slots programmed; len(_fill) block ids are in use
+        self._fill: List[int] = []
+        #: block in service -> count of invalidated (overwritten/moved)
+        #: slots; insertion-ordered, which breaks GC's victim ties
         self._invalid: Dict[int, int] = {}
         #: blocks with >= gc_min_invalid invalid slots (0: GC skips its scan)
         self._gc_candidates = 0
         self._free: Deque[int] = deque()
-        self._next_block = 0
-        #: the block being programmed; its next slot is len(_blocks[_open])
+        #: the block being programmed; its next slot is _fill[_open]
         self._open: Optional[int] = None
 
         # -- write cache: insertion-ordered dirty page set ---------------
         self._dirty: Dict[int, None] = {}
-        self._cache_waiters: List[Event] = []
+        #: writers the full cache blocked: (page each waits to place, its
+        #: wake-up), in blocking order
+        self._cache_waiters: List[Tuple[int, Event]] = []
 
         # -- counters ----------------------------------------------------
         self.host_pages = 0       # pages flushed from cache to NAND
@@ -254,47 +292,89 @@ class SsdDevice(ElevatorQueue):
                     self._kick_flusher()
                     kick = False
                 waiter = Event(env)
-                self._cache_waiters.append(waiter)
+                self._cache_waiters.append((span[pos], waiter))
                 yield waiter
         if kick:
             self._kick_flusher()
         yield Timeout(env, self.params.cache_write_latency * self.service_scale)
 
     def _serve_read(self, request: BlockRequest):
+        """Read the uncached pages from NAND, booking each channel once.
+
+        A channel's clock only adds, one step per page, and channels are
+        independent, so each channel ends, and the read's last page ends,
+        where booking the pages one at a time would.  With a trace bus
+        the pages are booked in page order, as that publishes them.
+        """
         env = self.env
         params = self.params
-        dirty, l2p, book = self._dirty, self._l2p, self._book
         per_block, channels = params.pages_per_block, params.channels
         latency = params.read_latency
-        done: Optional[float] = None  # when the last NAND page read ends
-        reads = 0
-        run_channel, run = 0, 0  # consecutive NAND pages on one channel
         span = self._page_span(request)
-        for lpn in span:
-            if lpn in dirty:
-                continue
-            ppn = l2p.get(lpn)
-            channel = (lpn if ppn is None else ppn // per_block) % channels
-            if channel == run_channel:
-                run += 1
-                continue
-            if run:
-                end = book(run_channel, latency, run)
-                if done is None or end > done:
-                    done = end
-                reads += run
-            run_channel, run = channel, 1
-        if run:
-            end = book(run_channel, latency, run)
-            if done is None or end > done:
-                done = end
-            reads += run
+        dirty = self._dirty
+        if dirty and not dirty.keys().isdisjoint(span):
+            stretches = _stretches([lpn for lpn in span if lpn not in dirty])
+        else:
+            stretches = [(span.start, len(span))]
+        ends: List[float] = []  # when each booking's last page read ends
+        if self.trace is None:
+            counts = [0] * channels
+            for first, count in stretches:
+                for lpn, n, ppn in self._segments(first, first + count):
+                    if ppn is not None:
+                        counts[ppn // per_block % channels] += n
+                        continue
+                    # Never written: page lpn reads on lpn % channels.
+                    whole, part = divmod(n, channels)
+                    if whole:
+                        counts = [c + whole for c in counts]
+                    for page in range(lpn, lpn + part):
+                        counts[page % channels] += 1
+            ends = [self._book(channel, latency, n)
+                    for channel, n in enumerate(counts) if n]
+        else:
+            for first, count in stretches:
+                for lpn, n, ppn in self._segments(first, first + count):
+                    if ppn is not None:
+                        ends.append(self._book(ppn // per_block % channels,
+                                               latency, n))
+                    else:
+                        ends += [self._book(page % channels, latency, 1)
+                                 for page in range(lpn, lpn + n)]
+        reads = sum(count for _, count in stretches)
         self.nand_reads += reads
         if reads < len(span):
             self.cache_read_hits += len(span) - reads
             yield Timeout(env, params.cache_read_latency * self.service_scale)
-        if done is not None:
+        if ends:
+            done = max(ends)
             yield env.timeout_at(done if done > env._now else env._now)
+
+    def _segments(self, lo: int,
+                  hi: int) -> Iterator[Tuple[int, int, Optional[int]]]:
+        """Cut logical pages ``lo .. hi - 1`` into ``(lpn, count, ppn)``
+        segments, in page order: each mapped one lies in one block, and
+        ``ppn`` is None for a stretch never written."""
+        l2p = self._l2p
+        per_block = self.params.pages_per_block
+        k = bisect_right(l2p, lo, key=_LPN) - 1
+        if k < 0 or l2p[k][0] + l2p[k][2] <= lo:
+            k += 1  # lo is unmapped: start at the next extent
+        while lo < hi:
+            if k < len(l2p) and l2p[k][0] <= lo:
+                first, ppn, length = l2p[k]
+                end = min(hi, first + length)
+                ppn += lo - first
+                while lo < end:
+                    n = min(end - lo, per_block - ppn % per_block)
+                    yield lo, n, ppn
+                    lo += n
+                    ppn += n
+                k += 1
+            else:
+                end = min(hi, l2p[k][0]) if k < len(l2p) else hi
+                yield lo, end - lo, None
+                lo = end
 
     # -- NAND channels -----------------------------------------------------------
     def _book(self, channel: int, latency: float, count: int) -> float:
@@ -350,39 +430,65 @@ class SsdDevice(ElevatorQueue):
                 device=self.name,
                 pages=len(drained),
             )
+        # The writers blocked now, not when the wake runs: a write
+        # dispatched in between starts on an URGENT event, so it blocks
+        # behind them, as it would behind one wake-up each.
         waiters, self._cache_waiters = self._cache_waiters, []
-        for waiter in waiters:
-            waiter.succeed()
+        if waiters:
+            wake = Event(self.env)
+            wake.callbacks.append(self._wake_writers)
+            wake.succeed(waiters)
+
+    def _wake_writers(self, wake: Event) -> None:
+        """Resume, in blocking order, each writer the flush made room for.
+
+        One event stands in for a wake-up per writer: those would be
+        consecutive ``NORMAL`` events, and a resumed writer schedules
+        only ``NORMAL`` events, so nothing could run between them.  A
+        writer still blocked (cache full, its page not cached) stays
+        queued, in order, without being resumed.
+        """
+        dirty, capacity = self._dirty, self.params.write_cache_pages
+        for lpn, waiter in wake.value:
+            if len(dirty) < capacity or lpn in dirty:
+                # Process the waiter here, as popping it would have.
+                waiter._value = None
+                callbacks, waiter.callbacks = waiter.callbacks, None
+                for callback in callbacks:
+                    callback(waiter)
+            else:
+                self._cache_waiters.append((lpn, waiter))
 
     # -- FTL: mapping, allocation, GC --------------------------------------------
-    def _program(self, lpns: Sequence[int], during_gc: bool = False) -> None:
+    def _program(self, lpns: List[int], during_gc: bool = False) -> None:
         """Write ``lpns`` out-of-place, in order; invalidate old copies.
 
         Pages go in runs that fill the open block's free slots, each run
-        placed and booked on its channel at once.  Nothing waits on a
-        program, so it only books channel time.  GC (via
+        placed, mapped and booked on its channel at once.  Nothing waits
+        on a program, so it only books channel time.  GC (via
         ``_open_block``) re-enters here, so ``_open`` is re-read.
         """
-        l2p, blocks = self._l2p, self._blocks
+        fill, p2l = self._fill, self._p2l
         params = self.params
         per_block = params.pages_per_block
         start, total = 0, len(lpns)
         while start < total:
             block = self._open
-            stale = start  # first page whose old copy is still valid
-            if block is None or len(blocks[block]) == per_block:
+            if block is None or fill[block] == per_block:
                 # The page that opens a block drops its old copy first:
-                # the GC that allocation may run reads the counts.
-                self._invalidate(lpns[start:start + 1])
-                stale += 1
+                # the GC that allocation may run reads the counts.  GC
+                # moves only valid pages, so it leaves that page unmapped.
+                self._unmap([(lpns[start], 1)])
                 block = self._open_block(during_gc)
-            slots = blocks[block]
-            stop = min(total, start + per_block - len(slots))
-            self._invalidate(lpns[stale:stop])
+            slot = fill[block]
+            stop = min(total, start + per_block - slot)
             run = lpns[start:stop]
-            ppn = block * per_block + len(slots)
-            slots.extend(run)
-            l2p.update(zip(run, range(ppn, ppn + len(run))))
+            stretches = _stretches(run)
+            self._unmap(stretches)
+            ppn = block * per_block + slot
+            p2l[ppn:ppn + len(run)] = array("q", run)
+            fill[block] = slot + len(run)
+            self._map(stretches, ppn)
             # Both counters move together, so write_amp never reads < 1.
             self.nand_programs += len(run)
             if not during_gc:
@@ -391,22 +497,60 @@ class SsdDevice(ElevatorQueue):
                        len(run))
             start = stop
 
-    def _invalidate(self, lpns: Sequence[int]) -> None:
-        """Mark the NAND copies ``lpns`` map to as invalid."""
+    def _map(self, stretches: List[Tuple[int, int]], ppn: int) -> None:
+        """Map the unmapped ``(first, count)`` page stretches to consecutive
+        physical pages from ``ppn``; an extent that continues the one
+        before it in both extends it."""
         l2p = self._l2p
-        if l2p.keys().isdisjoint(lpns):
-            return  # all fresh pages: the common, append-only case
-        blocks, invalid = self._blocks, self._invalid
+        for first, count in stretches:
+            k = bisect_left(l2p, first, key=_LPN)
+            if k:
+                lpn, start, length = l2p[k - 1]
+                if lpn + length == first and start + length == ppn:
+                    l2p[k - 1] = (lpn, start, length + count)
+                    ppn += count
+                    continue
+            l2p.insert(k, (first, ppn, count))
+            ppn += count
+
+    def _unmap(self, stretches: List[Tuple[int, int]]) -> None:
+        """Drop the mappings of the ``(first, count)`` page stretches and
+        invalidate their NAND copies, trimming or splitting the extents
+        they hit."""
+        l2p = self._l2p
+        for lo, count in stretches:
+            hi = lo + count
+            j = bisect_left(l2p, hi, key=_LPN)  # extents from j start >= hi
+            if not j or l2p[j - 1][0] + l2p[j - 1][2] <= lo:
+                continue  # nothing mapped: the common, append-only case
+            i = bisect_right(l2p, lo, key=_LPN) - 1
+            if i < 0 or l2p[i][0] + l2p[i][2] <= lo:
+                i += 1
+            kept: List[Extent] = []
+            for lpn, ppn, length in l2p[i:j]:
+                a, b = max(lpn, lo), min(lpn + length, hi)
+                self._invalidate(ppn + a - lpn, b - a)
+                if lpn < lo:
+                    kept.append((lpn, ppn, lo - lpn))
+                if lpn + length > hi:
+                    kept.append((hi, ppn + hi - lpn, lpn + length - hi))
+            l2p[i:j] = kept
+
+    def _invalidate(self, ppn: int, count: int) -> None:
+        """Mark ``count`` NAND pages from ``ppn`` on invalid."""
         per_block = self.params.pages_per_block
-        for lpn in lpns:
-            ppn = l2p.get(lpn)
-            if ppn is None:
-                continue
-            block, slot = divmod(ppn, per_block)
-            blocks[block][slot] = None
-            invalid[block] += 1
-            if invalid[block] == self.params.gc_min_invalid:
+        threshold = self.params.gc_min_invalid
+        invalid = self._invalid
+        self._p2l[ppn:ppn + count] = array("q", [-1]) * count
+        end = ppn + count
+        while ppn < end:
+            block = ppn // per_block
+            n = min(end, (block + 1) * per_block) - ppn
+            before = invalid[block]
+            invalid[block] = before + n
+            if before < threshold <= before + n:
                 self._gc_candidates += 1
+            ppn += n
 
     def _open_block(self, during_gc: bool) -> int:
         """Make a block with a free slot the open one; return it.
@@ -418,17 +562,17 @@ class SsdDevice(ElevatorQueue):
         """
         if not self._free and not during_gc:
             self._gc_if_worthwhile()
+        per_block = self.params.pages_per_block
         block = self._open
-        if (block is not None
-                and len(self._blocks[block]) < self.params.pages_per_block):
+        if block is not None and self._fill[block] < per_block:
             return block
         if self._free:
             block = self._free.popleft()
         else:
-            block = self._next_block
-            self._next_block += 1
+            block = len(self._fill)
+            self._fill.append(0)
+            self._p2l.extend(array("q", [-1]) * per_block)
         self._open = block
-        self._blocks[block] = []
         self._invalid[block] = 0
         return block
 
@@ -446,7 +590,9 @@ class SsdDevice(ElevatorQueue):
                 victim = block
         if victim is None:
             return
-        moved = [lpn for lpn in self._blocks[victim] if lpn is not None]
+        first = victim * self.params.pages_per_block
+        moved = [lpn for lpn in self._p2l[first:first + self._fill[victim]]
+                 if lpn >= 0]
         self.gc_cycles += 1
         victim_channel = victim % self.params.channels
         # Per page read then program: both may land on one channel, and
@@ -454,11 +600,12 @@ class SsdDevice(ElevatorQueue):
         for lpn in moved:
             self._book(victim_channel, self.params.read_latency, 1)
             self.nand_reads += 1
-            self._program((lpn,), during_gc=True)
+            self._program([lpn], during_gc=True)
             self.gc_moved += 1
         self._book(victim_channel, self.params.erase_latency, 1)
         self.nand_erases += 1
-        del self._blocks[victim]
+        # The moves invalidated every slot, so the erased block is blank.
+        self._fill[victim] = 0
         del self._invalid[victim]
         self._gc_candidates -= 1
         self._free.append(victim)
@@ -482,29 +629,36 @@ class SsdDevice(ElevatorQueue):
         return self.nand_programs / self.host_pages
 
     def check_conservation(self) -> None:
-        """Every mapped logical page lives in exactly one valid slot, and
-        every block's invalid count (what GC ranks by) matches its slots."""
+        """The extents are sorted, non-empty and non-overlapping; every
+        mapped logical page lives in its P2L slot, and no other slot is
+        valid; every block's invalid count (what GC ranks by) is right."""
         per_block = self.params.pages_per_block
-        placed = 0
-        for block, slots in self._blocks.items():
-            if slots.count(None) != self._invalid[block]:
+        p2l = self._p2l
+        mapped, end = 0, None
+        for lpn, ppn, length in self._l2p:
+            if length < 1 or (end is not None and lpn < end):
                 raise AssertionError(
-                    f"block {block} has {slots.count(None)} invalid slots "
-                    f"but counts {self._invalid[block]}"
-                )
-            for slot, lpn in enumerate(slots):
-                if lpn is None:
-                    continue
-                if self._l2p.get(lpn) != block * per_block + slot:
-                    raise AssertionError(
-                        f"lpn {lpn} valid in block {block} slot {slot} but "
-                        f"mapped to {self._l2p.get(lpn)}"
-                    )
-                placed += 1
-        if placed != len(self._l2p):
+                    f"extent {(lpn, ppn, length)} is empty or overlaps "
+                    f"the extent before it (which ends at lpn {end})")
+            slots = p2l[ppn:ppn + length].tolist()
+            if slots != list(range(lpn, lpn + length)):
+                raise AssertionError(
+                    f"extent {(lpn, ppn, length)} maps to slots holding "
+                    f"{slots}")
+            mapped += length
+            end = lpn + length
+        valid = 0
+        for block, invalid in self._invalid.items():
+            first = block * per_block
+            holes = p2l[first:first + self._fill[block]].count(-1)
+            if holes != invalid:
+                raise AssertionError(
+                    f"block {block} has {holes} invalid slots but counts "
+                    f"{invalid}")
+            valid += self._fill[block] - holes
+        if valid != mapped:
             raise AssertionError(
-                f"{len(self._l2p)} mapped pages but {placed} valid slots"
-            )
+                f"{mapped} mapped pages but {valid} valid slots")
 
     def storage_stats(self) -> Dict[str, object]:
         """JSON-able FTL counters for run payloads and reports."""

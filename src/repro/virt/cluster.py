@@ -100,6 +100,7 @@ class VirtualCluster:
                     ring_slots=cfg.ring_slots,
                 )
             self.hosts.append(host)
+        self._vm_by_id: Dict[str, VM] = {vm.vm_id: vm for vm in self.vms}
 
     # -- views ------------------------------------------------------------------
     @property
@@ -108,10 +109,7 @@ class VirtualCluster:
         return [vm for host in self.hosts for vm in host.vms]
 
     def vm(self, vm_id: str) -> VM:
-        for candidate in self.vms:
-            if candidate.vm_id == vm_id:
-                return candidate
-        raise KeyError(vm_id)
+        return self._vm_by_id[vm_id]
 
     def host_of(self, vm: VM) -> PhysicalHost:
         for host in self.hosts:

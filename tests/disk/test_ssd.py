@@ -122,6 +122,41 @@ def test_write_amp_never_below_one_under_coalescing():
     assert stats["write_amp"] >= 1.0
 
 
+def test_sequential_flush_is_one_extent_and_a_middle_overwrite_three():
+    """Eight pages fill blocks 0 and 1 and stay one extent across the
+    block boundary; rewriting pages 3-4 moves them to block 2 and
+    splits the extent around them."""
+    env = Environment()
+    dev = make_ssd(env)
+    run_all(env, dev, [write(0, n=64)])
+    assert dev._l2p == [(0, 0, 8)]
+    run_all(env, dev, [write(24, n=16)])
+    assert dev._l2p == [(0, 0, 3), (3, 8, 2), (5, 5, 3)]
+    assert list(dev._p2l) == [0, 1, 2, -1, -1, 5, 6, 7, 3, 4, -1, -1]
+    assert dev._invalid == {0: 1, 1: 1, 2: 0}
+    dev.check_conservation()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda dev: dev._l2p.__setitem__(1, (3, 9, 2)),    # maps a stale slot
+    lambda dev: dev._l2p.__setitem__(1, (2, 8, 2)),    # overlaps extent 0
+    lambda dev: dev._l2p.__setitem__(1, (3, 8, 0)),    # empty
+    lambda dev: dev._p2l.__setitem__(6, -1),           # a mapped slot lost
+    lambda dev: dev._p2l.__setitem__(3, 3),            # a stale slot valid
+    lambda dev: dev._invalid.__setitem__(2, 1),        # count off by one
+], ids=["extent-ppn", "extent-overlap", "extent-empty", "p2l-lost",
+        "p2l-stale", "invalid-count"])
+def test_check_conservation_catches_corruption(corrupt):
+    env = Environment()
+    dev = make_ssd(env)
+    run_all(env, dev, [write(0, n=64)])
+    run_all(env, dev, [write(24, n=16)])  # flushed apart: an overwrite
+    dev.check_conservation()
+    corrupt(dev)
+    with pytest.raises(AssertionError):
+        dev.check_conservation()
+
+
 def test_read_after_write_hits_dirty_cache():
     env = Environment()
     dev = make_ssd(env)
@@ -301,8 +336,8 @@ def test_gc_fills_the_block_its_moves_opened():
     free slots (GC's block was sealed half-empty: 9 blocks, not 7)."""
     dev = _churn_with_reads()[1]
     assert [
-        block for block, slots in dev._blocks.items()
-        if block != dev._open and len(slots) != SMALL.pages_per_block
+        block for block in dev._invalid
+        if block != dev._open and dev._fill[block] != SMALL.pages_per_block
     ] == []
 
 

@@ -77,8 +77,9 @@ def test_vm_lookup():
     vm = cluster.vm("h1v0")
     assert vm.vm_id == "h1v0"
     assert cluster.host_of(vm).name == "h1"
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as unknown:
         cluster.vm("nope")
+    assert unknown.value.args == ("nope",)
 
 
 def test_vm_end_to_end_file_io():
