@@ -17,10 +17,10 @@ processes and are memoised in a content-addressed on-disk cache, so
 re-running an experiment with the same configuration replays results
 without simulating (``--no-cache`` disables the disk cache).
 
-``--trace-out DIR`` records every simulated run's trace to
-``DIR/<run>.trace.jsonl`` (plus a metrics snapshot); ``repro report``
-renders those artifacts — per-phase durations, per-device I/O, a phase
-timeline — and can re-export them as a Chrome/Perfetto trace.
+``--trace-out DIR`` records every simulated run's trace to one file,
+``DIR/<run>.trace.jsonl``; ``repro report`` replays those traces into
+metrics — per-phase durations, per-device I/O, a phase timeline — and
+can re-export them as a Chrome/Perfetto trace.
 
 ``repro bench`` times the canonical scenarios against their golden
 payload digests and writes ``BENCH_<rev>.json`` (see :mod:`repro.bench`).
@@ -155,12 +155,10 @@ def _parse_cost(raw: str) -> float:
 
 def _parse_topics(raw: str) -> tuple:
     topics = tuple(t.strip() for t in raw.split(",") if t.strip())
-    if not topics:
-        raise argparse.ArgumentTypeError(
-            f"topic list {raw!r} is empty; give topics or globs, e.g. "
-            "--trace-topics 'disk.*,job.*' (default: '*')"
-        )
-    return topics
+    try:
+        return capture.check_topics(topics)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         metavar="DIR",
         default=None,
-        help="record each simulated run's trace to DIR/<run>.trace.jsonl "
-        "plus a metrics snapshot; implies fresh simulation (the result "
-        "cache is bypassed so every run actually traces)",
+        help="record each simulated run's trace to DIR/<run>.trace.jsonl; "
+        "implies fresh simulation (the result cache is bypassed so every "
+        "run actually traces)",
     )
     parser.add_argument(
         "--trace-topics",

@@ -1,17 +1,18 @@
 """repro.obs — the observability layer over the trace bus.
 
 * :mod:`repro.obs.metrics` — deterministic simulation-time counters,
-  gauges, and fixed-bucket histograms, auto-populated from trace topics;
+  gauges, and fixed-bucket histograms, folded from trace records;
 * :mod:`repro.obs.export` — the canonical JSONL record encoding and
   Chrome trace-event exports viewable in Perfetto;
 * :mod:`repro.obs.capture` — the per-run capture switch the CLI's
   ``--trace-out`` flips, propagated to worker processes via the
-  environment;
-* :mod:`repro.obs.report` — the ``repro report`` renderer;
+  environment; a traced run writes one ``.trace.jsonl``;
+* :mod:`repro.obs.report` — the ``repro report`` renderer, and the one
+  place a capture's metrics are computed (by replaying its trace);
 * :mod:`repro.obs.spans` — causal span reconstruction, critical-path
   extraction, and blame attribution over captured trace records;
-* :mod:`repro.obs.spill` — the windowed, memory-bounded JSONL writer
-  (optionally ring-capped), the only one;
+* :mod:`repro.obs.spill` — the windowed, memory-bounded JSONL writer,
+  the only one;
 * :mod:`repro.obs.topics` — the machine-readable trace-topic registry
   (the single source of truth ``repro lint``'s TRACE001 rule enforces).
 

@@ -2,24 +2,24 @@
 
 The sweep runner executes :class:`~repro.runner.spec.RunSpec`s in worker
 *processes*, so the capture switch travels as environment variables
-(``REPRO_TRACE_OUT`` / ``REPRO_TRACE_TOPICS`` / ``REPRO_TRACE_CAP`` /
-``REPRO_TRACE_WINDOW``) that the pool's children inherit.  When active,
-:func:`repro.runner.kinds.execute_spec` opens a :class:`RunCapture`
-around each simulation: the run's components get a recording
-:class:`~repro.sim.tracing.TraceBus`, and the records + a metrics
-snapshot land in the capture directory as
+(``REPRO_TRACE_OUT`` / ``REPRO_TRACE_TOPICS``) that the pool's children
+inherit.  When active, :func:`repro.runner.kinds.execute_spec` opens a
+:class:`RunCapture` around each simulation: the run's components get a
+recording :class:`~repro.sim.tracing.TraceBus`, and its records land in
+the capture directory as one file,
 
     <out>/<kind>-seed<seed>-<key12>.trace.jsonl
-    <out>/<kind>-seed<seed>-<key12>.metrics.json
 
 (the 12-hex ``key12`` is the run's content-addressed spec-key prefix, so
 file names are deterministic and collision-free across a sweep).
 
 Capture is **streaming and memory-bounded**: the bus retains nothing —
-each matched record flows through a :class:`~repro.obs.spill.TraceSpiller`
-(windowed JSONL appends, at most ``window`` records in memory) and a
-live :class:`~repro.obs.metrics.TraceMetrics` fold.  The artifact bytes
-are pinned per run kind in ``tests/obs/test_capture.py``.
+each matched record flows to one :class:`~repro.obs.spill.TraceSpiller`
+(windowed JSONL appends, at most :data:`~repro.obs.spill.WINDOW` records
+in memory).  Metrics are not folded during the run: ``repro report``
+replays the trace through :class:`~repro.obs.metrics.TraceMetrics`.
+The trace bytes, and the metrics their replay yields, are pinned per
+run kind in ``tests/obs/test_capture.py``.
 
 Capture is strictly a side channel: payloads, cache keys, and cached
 records are byte-identical with capture on or off — trace publication
@@ -29,22 +29,20 @@ with the bit-identity guarantees in ``tests/integration``.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
 from ..sim.tracing import TraceBus
-from .metrics import TraceMetrics
-from .spill import DEFAULT_WINDOW, TraceSpiller
+from .spill import TraceSpiller
+from .topics import matching
 
 __all__ = [
     "ENV_TRACE_OUT",
     "ENV_TRACE_TOPICS",
-    "ENV_TRACE_CAP",
-    "ENV_TRACE_WINDOW",
     "CaptureConfig",
+    "check_topics",
     "config_from_env",
     "enable",
     "disable",
@@ -54,8 +52,24 @@ __all__ = [
 
 ENV_TRACE_OUT = "REPRO_TRACE_OUT"
 ENV_TRACE_TOPICS = "REPRO_TRACE_TOPICS"
-ENV_TRACE_CAP = "REPRO_TRACE_CAP"
-ENV_TRACE_WINDOW = "REPRO_TRACE_WINDOW"
+
+
+def check_topics(topics: Tuple[str, ...]) -> Tuple[str, ...]:
+    """Reject a topic selection that would record nothing.
+
+    The tuple must be non-empty, and each pattern (an exact name, a
+    ``family.*`` glob or ``*``) must match a registered topic: a typo
+    would otherwise trace every run to an empty file.
+    """
+    if not topics:
+        raise ValueError("no trace topics given; '*' records every topic")
+    for pattern in topics:
+        if not matching(pattern):
+            raise ValueError(
+                f"trace topic pattern {pattern!r} matches no registered "
+                "topic (see repro.obs.topics)"
+            )
+    return topics
 
 
 @dataclass(frozen=True)
@@ -64,33 +78,9 @@ class CaptureConfig:
 
     out_dir: str
     topics: Tuple[str, ...] = ("*",)
-    #: Ring-buffer cap on exported records per run (None = unbounded).
-    cap: Optional[int] = None
-    #: Records held in memory between streaming appends (ignored when
-    #: ``cap`` is set — the ring itself is the memory bound then).
-    window: int = DEFAULT_WINDOW
 
     def __post_init__(self) -> None:
-        _check_size("cap", self.cap)
-        _check_size("window", self.window)
-
-
-def _check_size(name: str, value: Optional[int]) -> Optional[int]:
-    """Reject a record count every run's spiller would refuse."""
-    if value is not None and (not isinstance(value, int) or value < 1):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"${name} must be an integer, got {raw!r}") from None
-    return _check_size(f"${name}", value)
+        check_topics(self.topics)
 
 
 def config_from_env() -> Optional[CaptureConfig]:
@@ -103,31 +93,20 @@ def config_from_env() -> Optional[CaptureConfig]:
     if not out_dir:
         return None
     raw_topics = os.environ.get(ENV_TRACE_TOPICS, "*")
-    topics = tuple(t.strip() for t in raw_topics.split(",") if t.strip()) or ("*",)
-    return CaptureConfig(
-        out_dir=out_dir, topics=topics, cap=_env_int(ENV_TRACE_CAP),
-        window=_env_int(ENV_TRACE_WINDOW) or DEFAULT_WINDOW,
-    )
+    topics = tuple(t.strip() for t in raw_topics.split(",") if t.strip())
+    return CaptureConfig(out_dir=out_dir, topics=topics)
 
 
-def enable(out_dir: os.PathLike | str, topics: Tuple[str, ...] = ("*",),
-           cap: Optional[int] = None, window: Optional[int] = None) -> None:
+def enable(out_dir: os.PathLike | str, topics: Tuple[str, ...] = ("*",)) -> None:
     """Turn capture on process-wide (and for future worker children)."""
-    _check_size("cap", cap)
-    _check_size("window", window)
+    check_topics(topics)
     os.environ[ENV_TRACE_OUT] = str(out_dir)
     os.environ[ENV_TRACE_TOPICS] = ",".join(topics)
-    if cap is not None:
-        os.environ[ENV_TRACE_CAP] = str(cap)
-    if window is not None:
-        os.environ[ENV_TRACE_WINDOW] = str(window)
 
 
 def disable() -> None:
     os.environ.pop(ENV_TRACE_OUT, None)
     os.environ.pop(ENV_TRACE_TOPICS, None)
-    os.environ.pop(ENV_TRACE_CAP, None)
-    os.environ.pop(ENV_TRACE_WINDOW, None)
 
 
 #: The bus of the capture currently wrapping ``execute_spec`` in this
@@ -141,17 +120,16 @@ def current_bus() -> Optional[TraceBus]:
 
 
 class RunCapture:
-    """One run's recording bus plus the artifact writer.
+    """One run's recording bus and its trace writer.
 
-    Context-manager form keeps ``execute_spec`` tidy::
+    ``execute_spec`` wraps the run::
 
-        with RunCapture(cfg, spec) as cap:
-            payload = fn(spec.config, spec.seed)
-        cap.finish()
+        with RunCapture(cfg, spec):
+            return fn(spec.config, spec.seed)
 
-    Records spill to ``<base>.trace.jsonl`` in windows while metrics
-    fold live.  A failed run (exception inside the ``with``) aborts the
-    streaming writer, leaving no half-written ``.trace.jsonl`` behind.
+    Records spill to ``<base>.trace.jsonl`` in windows.  Leaving the
+    ``with`` closes the file when the run returned and aborts it when
+    the run raised, so a failed run leaves no half-written trace.
     """
 
     def __init__(self, config: CaptureConfig, spec):
@@ -163,19 +141,10 @@ class RunCapture:
         self.bus = TraceBus()
         for topic in config.topics:
             self.bus.record_topic(topic)
-        out = Path(config.out_dir)
         base = f"{spec.kind}-seed{spec.seed}-{spec_key(spec)[:12]}"
-        self.trace_path = out / f"{base}.trace.jsonl"
-        self.metrics_path = out / f"{base}.metrics.json"
-        # Both sinks see every record the topic filter keeps, in order:
-        # the spiller applies the ring cap itself, the metrics fold is
-        # uncapped.
-        self._spiller = TraceSpiller(
-            self.trace_path, window=config.window, cap=config.cap
-        )
-        self._metrics = TraceMetrics()
+        self.trace_path = Path(config.out_dir) / f"{base}.trace.jsonl"
+        self._spiller = TraceSpiller(self.trace_path)
         self.bus.add_sink(self._spiller.add)
-        self.bus.add_sink(self._metrics.handle)
         self.bus.retain_records = False
 
     def __enter__(self) -> "RunCapture":
@@ -187,15 +156,7 @@ class RunCapture:
     def __exit__(self, exc_type, *exc) -> None:
         global _current
         _current = self._previous
-        if exc_type is not None:
+        if exc_type is None:
+            self._spiller.close()
+        else:
             self._spiller.abort()
-
-    def finish(self) -> Tuple[Path, Path]:
-        """Write the run's trace JSONL and metrics JSON; returns paths."""
-        self._spiller.close()
-        snapshot = self._metrics.registry.snapshot()
-        self.metrics_path.parent.mkdir(parents=True, exist_ok=True)
-        self.metrics_path.write_text(
-            json.dumps(snapshot, sort_keys=True, indent=1), encoding="utf-8"
-        )
-        return self.trace_path, self.metrics_path

@@ -2,10 +2,11 @@
 
 Two formats, one source of truth (:class:`~repro.sim.tracing.TraceRecord`):
 
-* **JSONL** — one compact, key-sorted JSON object per record.  Because
-  the encoder is canonical (sorted keys, fixed separators, ``repr``
-  floats), re-exporting the same records is byte-identical — the
-  determinism guard the test suite leans on.
+* **JSONL** — one compact, key-sorted JSON object per record, written
+  by :class:`~repro.obs.spill.TraceSpiller` (:func:`write_jsonl` is its
+  one-shot form).  Because the encoder is canonical (sorted keys, fixed
+  separators, ``repr`` floats), re-exporting the same records is
+  byte-identical — the determinism guard the test suite leans on.
 * **Chrome trace-event JSON** — loadable in ``chrome://tracing`` or
   https://ui.perfetto.dev.  VMs and devices map to tracks; phases,
   requests, switches, and faults map to duration events; one-shot
@@ -96,12 +97,11 @@ def decode_record(line: str) -> TraceRecord:
                        payload=obj["payload"])
 
 
-def write_jsonl(records: Iterable[TraceRecord], path: Path | str,
-                cap: Optional[int] = None) -> int:
-    """One-shot export: (optionally) cap, write; returns count."""
+def write_jsonl(records: Iterable[TraceRecord], path: Path | str) -> int:
+    """One-shot export through the streaming writer; returns the count."""
     from .spill import TraceSpiller  # spill imports this module
 
-    spiller = TraceSpiller(path, cap=cap)
+    spiller = TraceSpiller(path)
     for record in records:
         spiller.add(record)
     return spiller.close()

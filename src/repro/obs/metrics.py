@@ -4,10 +4,11 @@ Everything here is driven by *simulated* time and trace records — no
 wall clock, no host state — so two runs of the same seed produce
 byte-identical snapshots.  :class:`TraceMetrics` is the bridge from the
 trace bus: it knows the repo's topic taxonomy (DESIGN.md
-"Observability") and folds each record into a :class:`MetricsRegistry`,
-either live (its :meth:`~TraceMetrics.handle` added as a sink of a
-recording :class:`~repro.sim.tracing.TraceBus`) or offline (replaying
-records loaded from a JSONL trace file).
+"Observability") and folds each record into a :class:`MetricsRegistry`.
+``repro report`` replays every captured JSONL trace through it; capture
+itself folds nothing.  Its :meth:`~TraceMetrics.handle` also works as a
+sink of a recording :class:`~repro.sim.tracing.TraceBus`, for checks
+that read metrics while a run is live.
 """
 
 from __future__ import annotations
@@ -166,6 +167,11 @@ class MetricsRegistry:
 class TraceMetrics:
     """Populates a :class:`MetricsRegistry` from the trace-topic taxonomy.
 
+    Replay (on records loaded from a trace file; what ``repro report``
+    does)::
+
+        snapshot = TraceMetrics().replay(records).registry.snapshot()
+
     Live use (during a simulation; the fold sees exactly the records
     the bus's ``record_topic`` filter keeps)::
 
@@ -173,11 +179,6 @@ class TraceMetrics:
         bus.add_sink(tm.handle)
         ... run the simulation ...
         snapshot = tm.registry.snapshot()
-
-    Offline use (on records loaded from a trace file)::
-
-        tm = TraceMetrics()
-        tm.replay(records)
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
@@ -185,7 +186,8 @@ class TraceMetrics:
         #: Submit time per (device, rid), for dispatch-latency histograms.
         self._pending: Dict[Tuple[str, int], float] = {}
         #: The metrics each hot topic updates, per (topic, label value):
-        #: rendering a registry key costs more than the update itself.
+        #: rendering a registry key costs more than the update itself,
+        #: and a report replays every record of every trace.
         self._bound: Dict[Any, Any] = {}
 
     # -- wiring -------------------------------------------------------------------

@@ -275,6 +275,34 @@ def _segment_dicts(segments) -> List[Dict[str, Any]]:
     } for seg in segments]
 
 
+_Runs = List[Tuple[Path, List[TraceRecord]]]
+
+
+def _load(path: Path | str) -> _Runs:
+    """Each trace file under ``path`` with its records, in name order."""
+    runs = [(file, load_jsonl(file)) for file in trace_files(path)]
+    if not any(records for _, records in runs):
+        raise EmptyTraceError(
+            f"trace files under {path} contain no records "
+            "(was the run traced with a too-narrow --trace-topics?)"
+        )
+    return runs
+
+
+def _export(runs: _Runs, chrome_out: Optional[Path | str],
+            spans_out: Optional[Path | str]) -> List[str]:
+    """Write the merged exports asked for; one note per file written."""
+    all_records = [record for _, records in runs for record in records]
+    notes = []
+    if chrome_out is not None:
+        n = write_chrome_trace(all_records, chrome_out)
+        notes.append(f"wrote {n} Chrome trace events to {chrome_out}")
+    if spans_out is not None:
+        n = write_span_trace(all_records, spans_out)
+        notes.append(f"wrote {n} span trace events to {spans_out}")
+    return notes
+
+
 def report_json(path: Path | str, critical: bool = False,
                 chrome_out: Optional[Path | str] = None,
                 spans_out: Optional[Path | str] = None) -> Dict[str, Any]:
@@ -289,14 +317,9 @@ def report_json(path: Path | str, critical: bool = False,
     Raises :class:`MissingTraceError`/:class:`EmptyTraceError` instead
     of reporting on nothing.
     """
-    files = trace_files(path)
+    runs = _load(path)
     doc: Dict[str, Any] = {"schema": REPORT_SCHEMA, "files": []}
-    total = 0
-    all_records: List[TraceRecord] = []
-    for file in files:
-        records = load_jsonl(file)
-        all_records.extend(records)
-        total += len(records)
+    for file, records in runs:
         snapshot = TraceMetrics().replay(records).registry.snapshot()
         entry: Dict[str, Any] = {
             "file": file.name,
@@ -315,15 +338,7 @@ def report_json(path: Path | str, critical: bool = False,
                 "blame": blame_summary(segments),
             }
         doc["files"].append(entry)
-    if total == 0:
-        raise EmptyTraceError(
-            f"trace files under {path} contain no records "
-            "(was the run traced with a too-narrow --trace-topics?)"
-        )
-    if chrome_out is not None:
-        write_chrome_trace(all_records, chrome_out)
-    if spans_out is not None:
-        write_span_trace(all_records, spans_out)
+    _export(runs, chrome_out, spans_out)
     return doc
 
 
@@ -338,24 +353,11 @@ def report_path(path: Path | str, chrome_out: Optional[Path | str] = None,
     export.  Raises :class:`EmptyTraceError` when the files hold no
     records at all.
     """
-    files = trace_files(path)
+    runs = _load(path)
     sections = []
-    all_records: List[TraceRecord] = []
-    for file in files:
-        records = load_jsonl(file)
-        all_records.extend(records)
+    for file, records in runs:
         sections.append(render_report(records, title=file.name))
         if critical and records:
             sections.append(render_critical_path(records))
-    if not all_records:
-        raise EmptyTraceError(
-            f"trace files under {path} contain no records "
-            "(was the run traced with a too-narrow --trace-topics?)"
-        )
-    if chrome_out is not None:
-        n = write_chrome_trace(all_records, chrome_out)
-        sections.append(f"wrote {n} Chrome trace events to {chrome_out}")
-    if spans_out is not None:
-        n = write_span_trace(all_records, spans_out)
-        sections.append(f"wrote {n} span trace events to {spans_out}")
+    sections.extend(_export(runs, chrome_out, spans_out))
     return "\n\n".join(sections)

@@ -67,10 +67,10 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
 
     When trace capture is enabled (``$REPRO_TRACE_OUT``, usually via
     the CLI's ``--trace-out``), the run executes with a recording
-    :class:`~repro.sim.tracing.TraceBus` and its records + metrics
-    snapshot are written to the capture directory afterwards.  The
-    returned payload is byte-identical either way — tracing is a side
-    channel, never an input.
+    :class:`~repro.sim.tracing.TraceBus` whose records stream to the
+    run's ``.trace.jsonl`` in the capture directory.  The returned
+    payload is byte-identical either way — tracing is a side channel,
+    never an input.
     """
     try:
         fn = KINDS[spec.kind]
@@ -80,10 +80,8 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
     cfg = capture.config_from_env()
     if cfg is None:
         return fn(spec.config, spec.seed)
-    with capture.RunCapture(cfg, spec=spec) as cap:
-        payload = fn(spec.config, spec.seed)
-    cap.finish()
-    return payload
+    with capture.RunCapture(cfg, spec):
+        return fn(spec.config, spec.seed)
 
 
 # -- job runs (and their payload codec) -----------------------------------------------

@@ -4,9 +4,8 @@ Simulated components publish records ("disk.complete", "job.maps_done",
 ...) without knowing who, if anyone, keeps them.  The bus only records:
 nothing in the simulation reads it back, so attaching one never changes
 a run.  The observability layer (:mod:`repro.obs`) records whole topic
-families with ``record_topic("disk.*")`` or ``record_topic("*")``,
-streams them to sinks (spillers, a live metrics fold), and exports the
-records after the run.
+families with ``record_topic("disk.*")`` or ``record_topic("*")`` and
+streams them to a sink (the capture's JSONL spiller).
 
 The canonical list of topics the simulator publishes lives in
 :mod:`repro.obs.topics` (the registry ``repro lint``'s TRACE001 rule
@@ -96,24 +95,10 @@ class TraceBus:
         """
         self._sinks.append(sink)
 
-    def remove_sink(self, sink: Callable[[TraceRecord], None]) -> None:
-        try:
-            self._sinks.remove(sink)
-        except ValueError:
-            raise KeyError("sink not attached to this bus") from None
-
     def _should_record(self, topic: str) -> bool:
         if self._record_all or topic in self._recorded_topics:
             return True
         return any(topic.startswith(p) for p in self._recorded_prefixes)
-
-    def clear(self) -> None:
-        """Drop all recorded records; keep sinks and topic config.
-
-        Long sweeps call this between jobs to bound memory: the bus keeps
-        recording the same topics afterwards, from an empty buffer.
-        """
-        self.records.clear()
 
     def publish(self, time: float, topic: str, **payload: Any) -> None:
         """Publish a record; cheap no-op on topics nobody records."""

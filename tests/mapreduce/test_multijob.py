@@ -124,8 +124,7 @@ def test_base_job_map_slots_bound_concurrent_maps_per_vm(tmp_path,
                                                         monkeypatch):
     # The base job's map_slots sets the map slot workers per VM: with one,
     # no VM ever runs two maps at once.
-    for name in (capture.ENV_TRACE_OUT, capture.ENV_TRACE_TOPICS,
-                 capture.ENV_TRACE_CAP, capture.ENV_TRACE_WINDOW):
+    for name in (capture.ENV_TRACE_OUT, capture.ENV_TRACE_TOPICS):
         monkeypatch.delenv(name, raising=False)
     config = scenario().multi_job_config()
     config = replace(config, base_job=config.base_job.with_(map_slots=1))

@@ -11,9 +11,11 @@ import json
 import pytest
 
 from repro.api import ControlledScenario, MultiJobScenario, scaled_testbed
+from repro.cli import main
 from repro.core.solution import Solution
-from repro.obs import capture
+from repro.obs import capture, spill
 from repro.obs.export import load_jsonl
+from repro.obs.metrics import TraceMetrics
 from repro.runner import RunSpec
 from repro.runner.kinds import execute_spec
 from repro.virt.pair import DEFAULT_PAIR
@@ -30,8 +32,7 @@ from tests.integration.test_golden_digest import (
 
 @pytest.fixture
 def clean_capture_env(monkeypatch):
-    for name in (capture.ENV_TRACE_OUT, capture.ENV_TRACE_TOPICS,
-                 capture.ENV_TRACE_CAP, capture.ENV_TRACE_WINDOW):
+    for name in (capture.ENV_TRACE_OUT, capture.ENV_TRACE_TOPICS):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -42,11 +43,13 @@ def golden_spec():
 
 # -- artifact pins ------------------------------------------------------------------
 
-#: sha256 of the ``.trace.jsonl`` and the ``.metrics.json`` a full-topic
-#: capture writes for each run below.  The payload digests pin what a run
-#: computes; these pin the bytes capture writes about it, so a change to
-#: the encoder, the spiller or the metrics fold that alters one byte of
-#: an artifact fails here.
+#: sha256 of the ``.trace.jsonl`` a full-topic capture writes for each
+#: run below, and of the metrics snapshot ``repro report`` replays from
+#: it (``json.dumps(snapshot, sort_keys=True, indent=1)``).  The payload
+#: digests pin what a run computes; these pin the bytes capture writes
+#: about it and the metrics a report derives, so a change to the
+#: encoder, the spiller or the metrics fold that alters one byte fails
+#: here.
 ARTIFACT_PINS = {
     "job": (
         "c222381cb713e41311217f3172b96206ec8ea00f77937a3a9a3689399a354cd8",
@@ -95,25 +98,32 @@ def artifact_spec(name):
                    config=(testbed, Solution.uniform(DEFAULT_PAIR, 2)))
 
 
-def sha256(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
-def captured_artifacts(name, out_dir):
-    capture.enable(out_dir)
-    try:
-        execute_spec(artifact_spec(name))
-    finally:
-        capture.disable()
-    [trace] = sorted(out_dir.glob("*.trace.jsonl"))
-    [metrics] = sorted(out_dir.glob("*.metrics.json"))
-    return trace, metrics
+def only_trace(out_dir):
+    """The one file a traced run leaves: its ``.trace.jsonl``."""
+    [trace] = out_dir.iterdir()
+    assert trace.name.endswith(".trace.jsonl"), trace.name
+    return trace
+
+
+def replayed_snapshot(trace):
+    return TraceMetrics().replay(load_jsonl(trace)).registry.snapshot()
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_PINS))
 def test_capture_artifacts_match_pins(clean_capture_env, tmp_path, name):
-    trace, metrics = captured_artifacts(name, tmp_path)
-    assert (sha256(trace), sha256(metrics)) == ARTIFACT_PINS[name], name
+    capture.enable(tmp_path)
+    try:
+        execute_spec(artifact_spec(name))
+    finally:
+        capture.disable()
+    trace = only_trace(tmp_path)
+    metrics = json.dumps(replayed_snapshot(trace), sort_keys=True, indent=1)
+    assert (sha256(trace.read_bytes()), sha256(metrics.encode())) == \
+        ARTIFACT_PINS[name], name
 
 
 def test_config_from_env_roundtrip(clean_capture_env, tmp_path):
@@ -128,30 +138,52 @@ def test_config_from_env_roundtrip(clean_capture_env, tmp_path):
     assert capture.config_from_env() is None
 
 
-@pytest.mark.parametrize("size", ["cap", "window"])
-def test_enable_rejects_nonpositive_sizes(clean_capture_env, tmp_path, size):
-    with pytest.raises(ValueError,
-                       match=f"^{size} must be a positive integer, got 0$"):
-        capture.enable(tmp_path, **{size: 0})
+#: Topic selections that would trace every run to an empty file.
+RECORD_NOTHING = [(), ("disk",), ("nope.*",), ("*", "dsk.*")]
+
+
+def topics_id(topics):
+    return ",".join(topics) or "empty"
+
+
+@pytest.mark.parametrize("topics", RECORD_NOTHING, ids=topics_id)
+def test_enable_rejects_topics_that_record_nothing(clean_capture_env,
+                                                   tmp_path, topics):
+    with pytest.raises(ValueError, match="no trace topics|matches no"):
+        capture.enable(tmp_path, topics)
     # Nothing half-enabled: the runs that follow are untraced.
     assert capture.config_from_env() is None
 
 
-def test_env_size_must_be_positive(clean_capture_env, monkeypatch, tmp_path):
-    # Rejected where the environment is read, naming the variable, not
-    # inside every run's spiller.
-    monkeypatch.setenv(capture.ENV_TRACE_OUT, str(tmp_path))
-    monkeypatch.setenv(capture.ENV_TRACE_WINDOW, "-3")
-    with pytest.raises(ValueError, match=r"^\$REPRO_TRACE_WINDOW must be a "
-                       r"positive integer, got -3$"):
-        capture.config_from_env()
+@pytest.mark.parametrize("topics", RECORD_NOTHING, ids=topics_id)
+def test_capture_config_rejects_topics_that_record_nothing(topics):
+    with pytest.raises(ValueError, match="no trace topics|matches no"):
+        capture.CaptureConfig(out_dir="out", topics=topics)
 
 
-@pytest.mark.parametrize("size", ["cap", "window"])
-def test_capture_config_rejects_nonpositive_sizes(size):
-    with pytest.raises(ValueError,
-                       match=f"^{size} must be a positive integer, got -1$"):
-        capture.CaptureConfig(out_dir="out", **{size: -1})
+@pytest.mark.parametrize("topics", [("*",), ("disk.*",), ("ctrl.*",),
+                                    ("sched.task_assigned",),
+                                    ("disk.*", "job.*")], ids=topics_id)
+def test_topics_matching_a_registered_topic_pass(clean_capture_env,
+                                                 tmp_path, topics):
+    assert capture.CaptureConfig(out_dir="out", topics=topics).topics == topics
+    capture.enable(tmp_path, topics)
+    try:
+        assert capture.config_from_env().topics == topics
+    finally:
+        capture.disable()
+
+
+def test_cli_rejects_a_topic_pattern_before_any_run(clean_capture_env,
+                                                    tmp_path, capsys):
+    trace_dir = tmp_path / "traces"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig8", "--seeds", "0", "--no-cache", "--trace-out",
+              str(trace_dir), "--trace-topics", "dsk.*,job.*"])
+    assert exit_info.value.code == 2
+    assert "'dsk.*'" in capsys.readouterr().err
+    assert not trace_dir.exists()
+    assert capture.config_from_env() is None
 
 
 def test_run_capture_scopes_current_bus(tmp_path):
@@ -159,6 +191,22 @@ def test_run_capture_scopes_current_bus(tmp_path):
     assert capture.current_bus() is None
     with capture.RunCapture(cfg, golden_spec()) as cap:
         assert capture.current_bus() is cap.bus
+    assert capture.current_bus() is None
+    # A run that returned leaves its trace, here an empty one.
+    assert only_trace(tmp_path) == cap.trace_path
+    assert cap.trace_path.read_bytes() == b""
+
+
+def test_run_capture_aborts_the_trace_of_a_failed_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(spill, "WINDOW", 1)
+    cfg = capture.CaptureConfig(out_dir=str(tmp_path))
+    with pytest.raises(RuntimeError, match="boom"):
+        with capture.RunCapture(cfg, golden_spec()) as cap:
+            cap.bus.publish(0.0, "job.start", name="sort")
+            # The window of one has spilled the record to the partial file.
+            assert [p.suffix for p in tmp_path.iterdir()] == [".partial"]
+            raise RuntimeError("boom")
+    assert list(tmp_path.iterdir()) == []
     assert capture.current_bus() is None
 
 
@@ -180,18 +228,17 @@ def test_capture_writes_artifacts_and_keeps_payload_identical(
         digest(json.loads(json.dumps(plain, sort_keys=True)))
     assert digest(traced) == GOLDEN_DIGEST
 
-    traces = sorted((tmp_path / "run1").glob("*.trace.jsonl"))
-    metrics = sorted((tmp_path / "run1").glob("*.metrics.json"))
-    assert len(traces) == 1 and len(metrics) == 1
+    # One run, one artifact: the trace, and no metrics file beside it.
+    trace = only_trace(tmp_path / "run1")
     # Deterministic artifact naming: kind, seed, spec-key prefix.
-    assert traces[0].name.startswith("job-seed0-")
+    assert trace.name.startswith("job-seed0-")
 
-    records = load_jsonl(traces[0])
+    records = load_jsonl(trace)
     assert records, "captured trace must not be empty"
     topics = {r.topic for r in records}
     assert {"job.start", "job.done", "disk.submit", "disk.complete"} <= topics
 
-    snapshot = json.loads(metrics[0].read_text())
+    snapshot = replayed_snapshot(trace)
     assert any(k.startswith("disk.submitted{") for k in snapshot["counters"])
 
 
@@ -205,8 +252,7 @@ def test_same_seed_runs_capture_byte_identical_traces(
             execute_spec(golden_spec())
         finally:
             capture.disable()
-        [trace] = sorted((tmp_path / name).glob("*.trace.jsonl"))
-        paths.append(trace)
+        paths.append(only_trace(tmp_path / name))
     # The determinism guard: two same-seed runs export byte-identical
     # JSONL (same records, same canonical encoding, same file name).
     assert paths[0].name == paths[1].name
@@ -219,7 +265,7 @@ def test_topic_filter_limits_captured_records(clean_capture_env, tmp_path):
         execute_spec(golden_spec())
     finally:
         capture.disable()
-    [trace] = sorted(tmp_path.glob("*.trace.jsonl"))
+    trace = only_trace(tmp_path)
     topics = {r.topic for r in load_jsonl(trace)}
     assert topics
     assert all(t.startswith("job.") for t in topics)
@@ -235,7 +281,7 @@ def test_captured_switching_job_carries_ctrl_records(clean_capture_env,
     finally:
         capture.disable()
     assert digest(payload) == PINNED_DIGESTS["job_cc_ad"]
-    [trace] = sorted(tmp_path.glob("*.trace.jsonl"))
+    trace = only_trace(tmp_path)
     records = load_jsonl(trace)
     [switch] = [r for r in records if r.topic == "ctrl.switch"]
     assert switch.payload["pair"] == "ad"
@@ -263,6 +309,6 @@ def test_late_boundary_is_recorded_at_its_firing_time(clean_capture_env,
     assert shuffle["time"] == payload["phases"]["shuffle_done"]
     assert shuffle["time"] < first["time"] + first["stall"]
     assert shuffle["time"] < second["time"]
-    [trace] = sorted(tmp_path.glob("*.trace.jsonl"))
+    trace = only_trace(tmp_path)
     phases = [r for r in load_jsonl(trace) if r.topic == "ctrl.phase"]
     assert [r.time for r in phases] == [d["time"] for d in ctrl["detections"]]

@@ -46,25 +46,14 @@ SAMPLE = [
 
 
 def test_writer_caps(tmp_path):
-    spiller = TraceSpiller(tmp_path / "t.jsonl", cap=2)
+    # write_jsonl is the streaming writer in one call: same bytes.
+    spiller = TraceSpiller(tmp_path / "t.jsonl")
     for record in SAMPLE:
         spiller.add(record)
-    # Only the last 2 records survive the cap.
-    assert spiller.dropped == len(SAMPLE) - 2
-    assert spiller.close() == 2
-    kept = load_jsonl(tmp_path / "t.jsonl")
-    assert [r.topic for r in kept] == ["task.retry", "job.done"]
-    # write_jsonl is the same writer in one call.
-    assert write_jsonl(SAMPLE, tmp_path / "w.jsonl", cap=2) == 2
+    assert spiller.close() == len(SAMPLE)
+    assert write_jsonl(SAMPLE, tmp_path / "w.jsonl") == len(SAMPLE)
     assert (tmp_path / "w.jsonl").read_bytes() == \
         (tmp_path / "t.jsonl").read_bytes()
-
-
-def test_writer_rejects_nonpositive_cap(tmp_path):
-    with pytest.raises(ValueError):
-        TraceSpiller(tmp_path / "t.jsonl", cap=0)
-    with pytest.raises(ValueError):
-        write_jsonl(SAMPLE, tmp_path / "t.jsonl", cap=0)
 
 
 # -- the canonical encoder ------------------------------------------------------------

@@ -132,11 +132,11 @@ def test_trace_metrics_switch_and_service_accounting():
 def test_trace_metrics_attach_detach_live_bus():
     # Attached as a sink, the fold sees what the bus records, live.
     bus = TraceBus()
-    bus.record_topic("*")
+    bus.record_topic("disk.*")
     tm = TraceMetrics()
     bus.add_sink(tm.handle)
     bus.publish(0.0, "disk.submit", device="d", rid=1)
-    bus.remove_sink(tm.handle)
-    bus.publish(1.0, "disk.submit", device="d", rid=2)
+    bus.publish(1.0, "job.start", name="sort")
     snap = tm.registry.snapshot()
     assert snap["counters"]["disk.submitted{device=d}"] == 1.0
+    assert "job.start_time" not in snap["gauges"]

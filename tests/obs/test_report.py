@@ -38,12 +38,12 @@ def fig8_trace_dir(tmp_path_factory):
     return trace_dir
 
 
-def test_trace_out_writes_one_artifact_pair_per_run(fig8_trace_dir):
-    traces = sorted(fig8_trace_dir.glob("*.trace.jsonl"))
-    metrics = sorted(fig8_trace_dir.glob("*.metrics.json"))
-    # fig8 runs three benchmarks (wordcount, wordcount-nocombiner, sort).
-    assert len(traces) == 3
-    assert len(metrics) == 3
+def test_trace_out_writes_one_trace_per_run(fig8_trace_dir):
+    # fig8 runs three benchmarks (wordcount, wordcount-nocombiner, sort),
+    # and each leaves exactly one file: its trace.
+    names = sorted(path.name for path in fig8_trace_dir.iterdir())
+    assert len(names) == 3
+    assert all(name.endswith(".trace.jsonl") for name in names), names
 
 
 def test_report_cli_prints_phases_and_device_io(fig8_trace_dir, capsys, tmp_path):

@@ -3,8 +3,8 @@
 The cheap tests drive synthetic record streams (seeded, so three
 distinct shapes) through every window size that matters — 1 (flush per
 record), a window that divides the stream length, one that doesn't, and
-one larger than the stream — and compare the file bytes against an
-in-test reference: keep the last ``cap`` records, encode each
+one larger than the stream, each patched into ``spill.WINDOW`` — and
+compare the file bytes against an in-test reference: encode each record
 with ``json.dumps`` (see ``tests/obs/test_capture.py`` for the pinned
 artifacts of real captured runs).
 """
@@ -13,8 +13,9 @@ import random
 
 import pytest
 
+from repro.obs import spill as spill_module
 from repro.obs.export import load_jsonl
-from repro.obs.spill import DEFAULT_WINDOW, TraceSpiller
+from repro.obs.spill import TraceSpiller
 from repro.sim.tracing import TraceRecord
 from tests.obs.test_export import reference_encode
 
@@ -35,15 +36,13 @@ def synthetic_records(seed, n=1000):
     return records
 
 
-def reference_bytes(records, cap=None):
-    """What a spiller must write: every record (the last ``cap`` of them
-    when capped), one reference line each."""
-    kept = records if cap is None else records[-cap:]
-    return "".join(reference_encode(r) + "\n" for r in kept).encode()
+def reference_bytes(records):
+    """What a spiller must write: every record, one reference line each."""
+    return "".join(reference_encode(r) + "\n" for r in records).encode()
 
 
-def spill(records, path, **kwargs):
-    spiller = TraceSpiller(path, **kwargs)
+def spill(records, path):
+    spiller = TraceSpiller(path)
     for record in records:
         spiller.add(record)
     return spiller
@@ -51,34 +50,22 @@ def spill(records, path, **kwargs):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("window", [1, 100, 333, 5000])
-def test_spilled_bytes_equal_buffered_bytes(tmp_path, seed, window):
+def test_spilled_bytes_equal_buffered_bytes(tmp_path, monkeypatch, seed, window):
+    monkeypatch.setattr(spill_module, "WINDOW", window)
     records = synthetic_records(seed)
     streamed = tmp_path / "streamed.jsonl"
 
-    spiller = spill(records, streamed, window=window)
+    spiller = spill(records, streamed)
     assert spiller.buffered <= window
     n = spiller.close()
     assert n == len(records)
     assert streamed.read_bytes() == reference_bytes(records)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("cap", [1, 17, 999, 1000, 4096])
-def test_cap_keeps_the_ring_tail_like_the_buffered_writer(tmp_path, seed, cap):
-    records = synthetic_records(seed)
-    streamed = tmp_path / "streamed.jsonl"
-
-    spiller = spill(records, streamed, cap=cap)
-    assert spiller.buffered == min(cap, len(records))
-    n = spiller.close()
-    assert n == min(cap, len(records))
-    assert spiller.dropped == max(0, len(records) - cap)
-    assert streamed.read_bytes() == reference_bytes(records, cap=cap)
-
-
-def test_window_flushes_bound_memory(tmp_path):
+def test_window_flushes_bound_memory(tmp_path, monkeypatch):
+    monkeypatch.setattr(spill_module, "WINDOW", 100)
     records = synthetic_records(0, n=250)
-    spiller = TraceSpiller(tmp_path / "t.jsonl", window=100)
+    spiller = TraceSpiller(tmp_path / "t.jsonl")
     for record in records:
         spiller.add(record)
         assert spiller.buffered < 100  # the window flushes *at* 100
@@ -90,9 +77,10 @@ def test_window_flushes_bound_memory(tmp_path):
     assert spiller.spilled == 250
 
 
-def test_partial_file_until_close(tmp_path):
+def test_partial_file_until_close(tmp_path, monkeypatch):
+    monkeypatch.setattr(spill_module, "WINDOW", 10)
     path = tmp_path / "t.jsonl"
-    spiller = spill(synthetic_records(0, n=50), path, window=10)
+    spiller = spill(synthetic_records(0, n=50), path)
     assert not path.exists()
     assert path.with_name("t.jsonl.partial").exists()
     spiller.close()
@@ -117,9 +105,10 @@ def test_zero_records_still_writes_an_empty_file(tmp_path):
     assert path.read_bytes() == b""
 
 
-def test_abort_leaves_nothing_behind(tmp_path):
+def test_abort_leaves_nothing_behind(tmp_path, monkeypatch):
+    monkeypatch.setattr(spill_module, "WINDOW", 10)
     path = tmp_path / "t.jsonl"
-    spiller = spill(synthetic_records(0, n=50), path, window=10)
+    spiller = spill(synthetic_records(0, n=50), path)
     spiller.abort()
     assert not path.exists()
     assert not path.with_name("t.jsonl.partial").exists()
@@ -127,12 +116,6 @@ def test_abort_leaves_nothing_behind(tmp_path):
         spiller.add(TraceRecord(time=0.0, topic="job.start", payload={}))
 
 
-def test_constructor_validates_window_and_cap(tmp_path):
-    with pytest.raises(ValueError):
-        TraceSpiller(tmp_path / "t.jsonl", window=0)
-    with pytest.raises(ValueError):
-        TraceSpiller(tmp_path / "t.jsonl", cap=0)
-
-
-def test_default_window_is_sane():
-    assert DEFAULT_WINDOW >= 1
+def test_default_window_is_sane(tmp_path):
+    assert spill_module.WINDOW == 4096
+    assert TraceSpiller(tmp_path / "t.jsonl").window == spill_module.WINDOW

@@ -97,21 +97,6 @@ def test_trace_recorded_uses_per_topic_index():
     assert len(bus.recorded("y")) == 1
 
 
-def test_trace_clear_resets_records_keeps_subscriptions():
-    bus = TraceBus()
-    got = []
-    bus.add_sink(got.append)
-    bus.record_topic("x")
-    bus.publish(1.0, "x", v=1)
-    bus.clear()
-    assert bus.records == []
-    assert bus.recorded("x") == []
-    # Sinks and recording configuration survive the clear.
-    bus.publish(2.0, "x", v=2)
-    assert [r.payload["v"] for r in bus.recorded("x")] == [2]
-    assert [r.payload["v"] for r in got] == [1, 2]
-
-
 def test_interval_sampler_bins():
     s = IntervalSampler(interval=1.0)
     s.add(0.1, 10)
