@@ -17,10 +17,12 @@ processes and are memoised in a content-addressed on-disk cache, so
 re-running an experiment with the same configuration replays results
 without simulating (``--no-cache`` disables the disk cache).
 
-``--trace-out DIR`` records every simulated run's trace to one file,
-``DIR/<run>.trace.jsonl``; ``repro report`` replays those traces into
-metrics — per-phase durations, per-device I/O, a phase timeline — and
-can re-export them as a Chrome/Perfetto trace.
+``--trace-out DIR`` (default ``$REPRO_TRACE_OUT``) records every
+simulated run's trace to one file, ``DIR/<run>.trace.jsonl``, and
+bypasses the result cache so that every run is traced; ``repro report``
+replays those traces into metrics — per-phase durations, per-device
+I/O, a phase timeline — and can re-export them as a Chrome/Perfetto
+trace.
 
 ``repro bench`` times the canonical scenarios against their golden
 payload digests and writes ``BENCH_<rev>.json`` (see :mod:`repro.bench`).
@@ -264,18 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace-out",
         metavar="DIR",
-        default=None,
+        default=os.environ.get(capture.ENV_TRACE_OUT) or None,
         help="record each simulated run's trace to DIR/<run>.trace.jsonl; "
-        "implies fresh simulation (the result cache is bypassed so every "
-        "run actually traces)",
+        "implies fresh simulation, as the result cache is bypassed so "
+        f"every run actually traces (default: ${capture.ENV_TRACE_OUT}, "
+        "else no capture)",
     )
     parser.add_argument(
         "--trace-topics",
         type=_parse_topics,
-        default=("*",),
+        # A string default goes through _parse_topics like a flag value.
+        default=os.environ.get(capture.ENV_TRACE_TOPICS, "*"),
         metavar="TOPICS",
         help="comma-separated trace topics or globs to record with "
-        "--trace-out, e.g. 'disk.*,job.*' (default: '*')",
+        "--trace-out, e.g. 'disk.*,job.*' "
+        f"(default: ${capture.ENV_TRACE_TOPICS} or '*')",
     )
     return parser
 

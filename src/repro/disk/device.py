@@ -306,15 +306,27 @@ class ElevatorQueue(abc.ABC):
                 # rid completes exactly once.
                 merged_rids=request.all_rids()[1:],
             )
-        if request.merged_children:
-            for event in request.all_completions():
-                event.succeed(request)
-        elif request.completion is not None:
-            request.completion.succeed(request)
+        _fire_completions(request, request)
         if self._switching:
             self._drain_watch.discard(request.rid)
             self._notify_switch_waiters()
         self._kick()
+
+
+def _fire_completions(request: BlockRequest, value: BlockRequest) -> None:
+    """Trigger the completion of ``request`` and of every request merged
+    into it, in that order, each with ``value``, and unbind each one.
+
+    A fired event keeps ``value`` and nothing keeps the event, so a
+    completed request and its events hold no reference cycle: they are
+    freed by reference counting, not left to the cyclic collector.
+    """
+    completion = request.completion
+    if completion is not None:
+        request.completion = None
+        completion.succeed(value)
+    for child in request.merged_children:
+        _fire_completions(child, value)
 
 
 class DiskDevice(ElevatorQueue):

@@ -92,7 +92,9 @@ class BlockRequest:
         self.dispatch_time: Optional[float] = None
         self.complete_time: Optional[float] = None
         #: Completion event, bound lazily by the device that accepts the
-        #: request (a request object is device-agnostic until submitted).
+        #: request (a request object is device-agnostic until submitted)
+        #: and unbound when it fires: the event's value is a request, so
+        #: keeping it would make a reference cycle.
         self.completion: Optional["Event"] = None
         #: Requests merged into this one; their completions are triggered
         #: together with ours.
@@ -155,15 +157,6 @@ class BlockRequest:
         self.lba = other.lba
         self.nsectors += other.nsectors
         self.merged_children.append(other)
-
-    def all_completions(self) -> List["Event"]:
-        """Completion events of this request and everything merged into it."""
-        events = []
-        if self.completion is not None:
-            events.append(self.completion)
-        for child in self.merged_children:
-            events.extend(child.all_completions())
-        return events
 
     def all_rids(self) -> List[int]:
         """This request's rid plus every (transitively) merged rid."""

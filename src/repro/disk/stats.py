@@ -43,7 +43,7 @@ class DeviceStats:
         if request.merged_children:
             self.merged_count += len(request.merged_children)
         self.busy_time += service_total
-        self.throughput._events.append((request.complete_time, nbytes))
+        self.throughput.add(request.complete_time, nbytes)
 
     @property
     def total_bytes(self) -> int:

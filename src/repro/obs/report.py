@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..metrics.summary import format_table
 from ..sim.tracing import TraceRecord
@@ -275,30 +275,43 @@ def _segment_dicts(segments) -> List[Dict[str, Any]]:
     } for seg in segments]
 
 
-_Runs = List[Tuple[Path, List[TraceRecord]]]
+def _each_file(path: Path | str,
+               visit: Callable[[Path, List[TraceRecord]], None],
+               keep: bool) -> List[TraceRecord]:
+    """Call ``visit(file, records)`` for each trace file under ``path``.
 
-
-def _load(path: Path | str) -> _Runs:
-    """Each trace file under ``path`` with its records, in name order."""
-    runs = [(file, load_jsonl(file)) for file in trace_files(path)]
-    if not any(records for _, records in runs):
+    Files are visited in name order and loaded one at a time, so a
+    report holds one run's records, not the whole directory's.  Returns
+    every file's records, merged, when ``keep`` (the ``--chrome-out``
+    and ``--spans-out`` exports need them together), else ``[]``.
+    Raises :class:`EmptyTraceError` when no file holds a record.
+    """
+    merged: List[TraceRecord] = []
+    found = False
+    for file in trace_files(path):
+        records = load_jsonl(file)
+        found = found or bool(records)
+        visit(file, records)
+        if keep:
+            merged.extend(records)
+        del records  # dropped before the next file loads
+    if not found:
         raise EmptyTraceError(
             f"trace files under {path} contain no records "
             "(was the run traced with a too-narrow --trace-topics?)"
         )
-    return runs
+    return merged
 
 
-def _export(runs: _Runs, chrome_out: Optional[Path | str],
+def _export(records: List[TraceRecord], chrome_out: Optional[Path | str],
             spans_out: Optional[Path | str]) -> List[str]:
     """Write the merged exports asked for; one note per file written."""
-    all_records = [record for _, records in runs for record in records]
     notes = []
     if chrome_out is not None:
-        n = write_chrome_trace(all_records, chrome_out)
+        n = write_chrome_trace(records, chrome_out)
         notes.append(f"wrote {n} Chrome trace events to {chrome_out}")
     if spans_out is not None:
-        n = write_span_trace(all_records, spans_out)
+        n = write_span_trace(records, spans_out)
         notes.append(f"wrote {n} span trace events to {spans_out}")
     return notes
 
@@ -317,9 +330,9 @@ def report_json(path: Path | str, critical: bool = False,
     Raises :class:`MissingTraceError`/:class:`EmptyTraceError` instead
     of reporting on nothing.
     """
-    runs = _load(path)
     doc: Dict[str, Any] = {"schema": REPORT_SCHEMA, "files": []}
-    for file, records in runs:
+
+    def visit(file: Path, records: List[TraceRecord]) -> None:
         snapshot = TraceMetrics().replay(records).registry.snapshot()
         entry: Dict[str, Any] = {
             "file": file.name,
@@ -338,7 +351,10 @@ def report_json(path: Path | str, critical: bool = False,
                 "blame": blame_summary(segments),
             }
         doc["files"].append(entry)
-    _export(runs, chrome_out, spans_out)
+
+    merged = _each_file(path, visit,
+                        keep=chrome_out is not None or spans_out is not None)
+    _export(merged, chrome_out, spans_out)
     return doc
 
 
@@ -353,11 +369,14 @@ def report_path(path: Path | str, chrome_out: Optional[Path | str] = None,
     export.  Raises :class:`EmptyTraceError` when the files hold no
     records at all.
     """
-    runs = _load(path)
-    sections = []
-    for file, records in runs:
+    sections: List[str] = []
+
+    def visit(file: Path, records: List[TraceRecord]) -> None:
         sections.append(render_report(records, title=file.name))
         if critical and records:
             sections.append(render_critical_path(records))
-    sections.extend(_export(runs, chrome_out, spans_out))
+
+    merged = _each_file(path, visit,
+                        keep=chrome_out is not None or spans_out is not None)
+    sections.extend(_export(merged, chrome_out, spans_out))
     return "\n\n".join(sections)

@@ -75,6 +75,19 @@ def test_merged_requests_complete_together():
     assert dev.stats.merged_count == 1
 
 
+def test_merged_completions_fire_with_the_merged_request_and_unbind():
+    env = Environment()
+    dev = make_device(env)
+    first, a, b, c = req(0), req(2_000_000), req(2_000_256), req(1_999_744)
+    done = [dev.submit(r) for r in (first, a, b, c)]
+    env.run()
+    # b back-merged into a, then c front-merged into it: one command.
+    assert a.merged_children == [b, c]
+    assert [event.value for event in done] == [first, a, a, a]
+    # Nothing points back at a fired event.
+    assert [r.completion for r in (first, a, b, c)] == [None] * 4
+
+
 def test_sequential_stream_throughput_near_media_rate():
     env = Environment()
     dev = make_device(env)

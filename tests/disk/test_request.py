@@ -79,16 +79,3 @@ def test_latency_none_until_complete():
     assert r.latency is None
     r.queue_time, r.complete_time = 1.0, 3.5
     assert r.latency == pytest.approx(2.5)
-
-
-def test_all_completions_collects_children():
-    from repro.sim import Environment
-
-    env = Environment()
-    a, b, c = make(0, 8), make(8, 8), make(16, 8)
-    a.completion = env.event()
-    b.completion = env.event()
-    c.completion = env.event()
-    a.back_merge(b)
-    a.back_merge(c)
-    assert set(a.all_completions()) == {a.completion, b.completion, c.completion}

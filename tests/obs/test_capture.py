@@ -186,6 +186,31 @@ def test_cli_rejects_a_topic_pattern_before_any_run(clean_capture_env,
     assert capture.config_from_env() is None
 
 
+def test_an_exported_trace_out_traces_every_run_past_a_warm_cache(
+    clean_capture_env, monkeypatch, tmp_path, capsys
+):
+    # $REPRO_TRACE_OUT is the default of --trace-out, so an exported one
+    # also bypasses the cache: a warm second run still simulates (and
+    # traces) all three fig8 runs instead of replaying cached payloads.
+    # $REPRO_TRACE_TOPICS is likewise the default of --trace-topics.
+    for name in ("first", "second"):
+        monkeypatch.setenv(capture.ENV_TRACE_OUT, str(tmp_path / name))
+        monkeypatch.setenv(capture.ENV_TRACE_TOPICS, "job.*")
+        code = main(["fig8", "--scale", "0.05", "--seeds", "0", "--jobs",
+                     "1", "--cache-dir", str(tmp_path / "cache")])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert "simulations executed 3, cache hits 0" in out
+        assert "--trace-out bypasses the result cache" in err
+        traces = sorted((tmp_path / name).iterdir())
+        assert len(traces) == 3
+        assert all(t.name.endswith(".trace.jsonl") for t in traces), traces
+        for trace in traces:
+            topics = {r.topic for r in load_jsonl(trace)}
+            assert topics and all(t.startswith("job.") for t in topics)
+        assert capture.config_from_env() is None
+
+
 def test_run_capture_scopes_current_bus(tmp_path):
     cfg = capture.CaptureConfig(out_dir=str(tmp_path))
     assert capture.current_bus() is None

@@ -6,10 +6,12 @@ simulation happens once.
 """
 
 import json
+import weakref
 
 import pytest
 
 from repro.cli import main
+from repro.obs import report
 from repro.obs.report import (
     device_rows,
     phase_durations,
@@ -202,3 +204,32 @@ def test_report_json_writes_the_chrome_trace(fig8_trace_dir, capsys, tmp_path):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["schema"] == "repro.report/1"
     assert json.loads(chrome_out.read_text())["traceEvents"]
+
+
+class _Records(list):
+    """A loaded file's records; a list subclass, so it can be weakly
+    referenced."""
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_report_drops_each_file_before_loading_the_next(
+    fig8_trace_dir, monkeypatch, as_json
+):
+    loaded = []
+
+    def load_one(path):
+        # Every earlier file's records are gone by the time this loads.
+        assert all(ref() is None for ref in loaded), \
+            "a report holds an earlier file's records"
+        records = _Records(load_jsonl(path))
+        loaded.append(weakref.ref(records))
+        return records
+
+    monkeypatch.setattr(report, "load_jsonl", load_one)
+    if as_json:
+        doc = report.report_json(fig8_trace_dir, critical=True)
+        assert len(doc["files"]) == 3
+    else:
+        text = report.report_path(fig8_trace_dir, critical=True)
+        assert text.count("trace records") == 3
+    assert len(loaded) == 3

@@ -1,6 +1,8 @@
 """Unit tests for RNG streams and the trace bus."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import IntervalSampler, RngStreams, TraceBus
 
@@ -146,3 +148,65 @@ def test_interval_sampler_fractional_span_keeps_partial_bin():
     s.add(2.2, 3)
     # span 2.5 -> 3 bins, the last covering the partial [2.0, 2.5] tail.
     assert s.series(end=2.5) == [1, 0, 3]
+
+
+def _tuple_list_series(events, interval, start=0.0, end=None):
+    """The sampler's bins as computed over a list of (time, amount)
+    tuples, before it kept its samples in columns."""
+    if not events:
+        return []
+    if end is None:
+        end = max(t for t, _ in events)
+    if end <= start:
+        return []
+    span = (end - start) / interval
+    n_bins = int(span)
+    if span - n_bins > 1e-9 or n_bins == 0:
+        n_bins += 1
+    bins = [0.0] * n_bins
+    for t, amount in events:
+        if t < start or t > end:
+            continue
+        idx = min(int((t - start) / interval), n_bins - 1)
+        bins[idx] += amount
+    return bins
+
+
+_times = st.floats(min_value=-5.0, max_value=40.0)
+_amounts = st.one_of(
+    st.integers(min_value=0, max_value=2**40),
+    st.floats(min_value=-1e9, max_value=1e9),
+)
+
+
+@st.composite
+def _sampler_case(draw):
+    interval = draw(st.floats(min_value=0.05, max_value=10.0))
+    start = draw(st.one_of(st.just(0.0), _times))
+    end = draw(st.one_of(
+        st.none(),
+        _times,
+        # An exact multiple of the interval: events at t == end clamp
+        # into the last full bin.
+        st.integers(min_value=0, max_value=50).map(
+            lambda k: start + k * interval),
+    ))
+    events = draw(st.lists(st.tuples(_times, _amounts), max_size=40))
+    if end is not None:
+        events += [(end, amount)
+                   for amount in draw(st.lists(_amounts, max_size=3))]
+    events = draw(st.permutations(events))
+    return interval, start, end, events
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sampler_case())
+def test_interval_sampler_matches_the_tuple_list_reference(case):
+    interval, start, end, events = case
+    s = IntervalSampler(interval=interval)
+    for t, amount in events:
+        s.add(t, amount)
+    expected = _tuple_list_series(events, interval, start, end)
+    assert s.series(start, end) == expected
+    assert s.rates(start, end) == [b / interval for b in expected]
+    assert s.series() == _tuple_list_series(events, interval)
